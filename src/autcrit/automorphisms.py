@@ -34,9 +34,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import (
+    ConfigError,
     HypothesisViolationError,
     NotNormalError,
-    NotPGroupError,
     OrderBoundExceededError,
     ParentMismatchError,
 )
@@ -58,14 +58,28 @@ DISTINGUISHED_TAGS = (CENTRAL, C_STAR, IA, IA_STAR)
 
 
 def aut_bound() -> int:
-    """Current automorphism order bound (env AUTCRIT_AUT_BOUND overrides)."""
+    """Current automorphism order bound (env AUTCRIT_AUT_BOUND overrides);
+    a set value that is not a positive integer raises ConfigError."""
     raw = os.environ.get("AUTCRIT_AUT_BOUND")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_AUT_BOUND
+    if not raw:
+        return DEFAULT_AUT_BOUND
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not an integer") from None
+    if value < 1:
+        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not positive")
+    return value
+
+
+def _check_bound(g: FiniteGroup, bound: int | None) -> None:
+    """Refuse groups above ``bound`` (default aut_bound()); callers check
+    before any memo lookup, so a cached result never bypasses the bound."""
+    limit = aut_bound() if bound is None else bound
+    if g.n > limit:
+        raise OrderBoundExceededError(
+            f"group order {g.n} exceeds automorphism bound {limit}"
+        )
 
 
 @dataclass(frozen=True)
@@ -168,44 +182,24 @@ def _search(
     """Backtracking core; returns sorted image tuples of all
     automorphisms fixing ``fixed`` pointwise with generator images in
     their ``upper`` cosets."""
-    limit = aut_bound() if bound is None else bound
-    if g.n > limit:
-        raise OrderBoundExceededError(
-            f"group order {g.n} exceeds automorphism bound {limit}"
-        )
+    _check_bound(g, bound)
     n = g.n
     if n == 1:
         return [(0,)]
     table = g.table
 
-    # Seed with the identity on the fixed subgroup.
+    # Seed with the identity on the fixed subgroup, then extend the seed's
+    # generators to a generating sequence of all of G.
+    if fixed is None:
+        fixed = g.trivial_subgroup()
+    base_members = list(fixed.sorted_members)
+    base_gens = fixed.generators()
+    gens = g.generating_sequence(fixed.members)
     img0 = [-1] * n
     used0 = bytearray(n)
-    if fixed is not None:
-        base_members = list(fixed.sorted_members)
-        base_gens = list(fixed.generators())
-    else:
-        base_members = [0]
-        base_gens = []
     for y in base_members:
         img0[y] = y
         used0[y] = 1
-
-    # Generating sequence extending the seed to all of G.
-    orders = g.element_orders()
-    ranked = sorted(range(n), key=lambda a: (-orders[a], a))
-    phi: frozenset[int] = frozenset({0})
-    try:
-        if g.prime_power() is not None:
-            phi = g.frattini_subgroup().members
-    except NotPGroupError:
-        phi = frozenset({0})
-    gens: list[int] = []
-    reach = g.closure(set(base_members) | set(phi))
-    while len(reach) < n:
-        h = next(a for a in ranked if a not in reach)
-        gens.append(h)
-        reach = g.closure(set(base_members) | set(phi) | set(gens))
 
     prints = _fingerprints(g)
     pools: list[list[int]] = []
@@ -284,6 +278,8 @@ def _search(
 
 def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
     """All automorphisms of g, by backtracking over generator images."""
+    _check_bound(g, bound)
+
     def compute():
         return AutSet(g, (Automorphism(t) for t in _search(g, bound=bound)), FULL)
 
@@ -345,6 +341,7 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
+    _check_bound(g, bound)
     key = ("aut_distinguished", which)
 
     def compute():

@@ -184,28 +184,17 @@ def _check_m_z_n(g, m, n) -> Subgroup:
 def cor_2_4(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
     """Aut^{M}_{N}(G) = C* for M <= Z(G) <= N.
 
-    Clause (i): M = Z(G) and G/G'N, G/G'Z(G) are interchangeable Hom
-    sources against M; clause (ii): G/G'N = G/G'Z(G) and M, Z(G) are
+    C* is Aut^{Z}_{Z}(G), so this is COR_2_3 with (M2, N2) = (Z(G), Z(G)):
+    clause (i) is M = Z(G) with G/G'N, G/G'Z(G) interchangeable Hom
+    sources against M; clause (ii) is G/G'N = G/G'Z(G) with M, Z(G)
     interchangeable Hom targets.
     """
-    p = _require_nonabelian_p_group(g)
+    _require_nonabelian_p_group(g)
     z = _check_m_z_n(g, m, n)
-    qn = _mod_derived_part(g, n, p)
-    qz = _mod_derived_part(g, z, p)
-    mp = _subgroup_part(g, m, p)
-    zp = _subgroup_part(g, z, p)
-    evidence = {"G/G'N": str(qn), "G/G'Z": str(qz), "M": str(mp), "Z": str(zp)}
-    if m.members == z.members:
-        sub = decide_hom_equal_sources(qn, qz, mp)
-        evidence["case_i"] = sub.detail
-        if sub.equal:
-            return CriterionVerdict(COR_2_4, True, CASE_I, evidence)
-    if qn == qz:
-        sub = decide_hom_equal_targets(qn, mp, zp)
-        evidence["case_ii"] = sub.detail
-        if sub.equal:
-            return CriterionVerdict(COR_2_4, True, CASE_II, evidence)
-    return CriterionVerdict(COR_2_4, False, NONE, evidence)
+    v = cor_2_3(g, m, n, z, z)
+    labels = {"G/G'N1": "G/G'N", "G/G'N2": "G/G'Z", "M1": "M", "M2": "Z"}
+    evidence = {labels.get(k, k): val for k, val in v.evidence.items()}
+    return CriterionVerdict(COR_2_4, v.predicted_equal, v.clause, evidence)
 
 
 def cor_2_5(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:

@@ -40,6 +40,11 @@ class OrderBoundExceededError(AutcritError):
     """A closure or search would exceed the configured order bound."""
 
 
+class ConfigError(AutcritError):
+    """A configuration value, such as AUTCRIT_AUT_BOUND, is malformed
+    or out of range."""
+
+
 class NotASubgroupError(AutcritError):
     """An element set is not closed under the group operation."""
 

@@ -323,27 +323,36 @@ class FiniteGroup:
         pp = prime_power_order(q.n)
         return pp[1] if pp else 0
 
-    def generating_sequence(self) -> tuple[int, ...]:
-        """A small generating sequence, elements of larger order first.
+    def greedy_generators(self, pool, start=frozenset()) -> tuple[int, ...]:
+        """Elements of ``pool`` that, with ``start``, generate <start, pool>.
+
+        Walks ``pool`` with larger element orders first and keeps each
+        element the kept ones and ``start`` do not yet generate."""
+        orders = self.element_orders()
+        gens: list[int] = []
+        reach = self.closure(start)
+        for a in sorted(pool, key=lambda a: (-orders[a], a)):
+            if a not in reach:
+                gens.append(a)
+                reach = self.closure(set(start) | set(gens))
+        return tuple(gens)
+
+    def generating_sequence(self, start=frozenset()) -> tuple[int, ...]:
+        """A small sequence generating G together with ``start``, elements
+        of larger order first.
 
         For p-groups the Frattini argument makes the greedy choice
-        minimal (d(G) generators)."""
+        minimal (d(G) generators when ``start`` is trivial)."""
+        start = frozenset(start) | {0}
+
         def compute():
             try:
-                phi = set(self.frattini_subgroup().members) if self.prime_power() else {0}
+                phi = self.frattini_subgroup().members if self.prime_power() else {0}
             except NotPGroupError:
                 phi = {0}
-            orders = self.element_orders()
-            ranked = sorted(range(self.n), key=lambda a: (-orders[a], a))
-            gens: list[int] = []
-            reach = self.closure(phi)
-            while len(reach) < self.n:
-                g = next(a for a in ranked if a not in reach)
-                gens.append(g)
-                reach = self.closure(set(phi) | set(gens))
-            return tuple(gens)
+            return self.greedy_generators(range(self.n), start | phi)
 
-        return self._memo("gens", compute)
+        return self._memo(("gens", start), compute)
 
     # -- quotients and invariants -------------------------------------------
 
@@ -495,15 +504,19 @@ class FiniteGroup:
 
         return self._memo("purely_nonabelian", compute)
 
+    def _check_subgroup_bound(self, bound: int) -> None:
+        # checked before the memo lookup, so a cached lattice never bypasses it
+        if self.n > bound:
+            raise OrderBoundExceededError(
+                f"subgroup enumeration bound {bound} exceeded (order {self.n})"
+            )
+
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
         """Every subgroup, by closure of growing generator sets.
 
         Deterministic order: by (order, sorted member tuple).
         """
-        if self.n > bound:
-            raise OrderBoundExceededError(
-                f"subgroup enumeration bound {bound} exceeded (order {self.n})"
-            )
+        self._check_subgroup_bound(bound)
 
         def compute():
             seen: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
@@ -525,6 +538,8 @@ class FiniteGroup:
         return self._memo("all_subgroups", compute)
 
     def normal_subgroups(self, bound: int = DEFAULT_SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
+        self._check_subgroup_bound(bound)
+
         def compute():
             return [s for s in self.all_subgroups(bound) if s.is_normal()]
 
@@ -590,17 +605,7 @@ class Subgroup:
         """Small generating set for this subgroup (greedy, larger orders
         first)."""
         if "gens" not in self._cache:
-            orders = self.parent.element_orders()
-            ranked = sorted(self.sorted_members, key=lambda a: (-orders[a], a))
-            gens: list[int] = []
-            reach = frozenset({0})
-            for a in ranked:
-                if len(reach) == self.order:
-                    break
-                if a not in reach:
-                    gens.append(a)
-                    reach = self.parent.closure(gens)
-            self._cache["gens"] = tuple(gens)
+            self._cache["gens"] = self.parent.greedy_generators(self.sorted_members)
         return self._cache["gens"]
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:

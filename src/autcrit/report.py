@@ -3,7 +3,8 @@
 For every requested criterion the driver evaluates the invariant-level
 predicate, computes the two automorphism subgroups it talks about with
 the search engine, compares them as sets, and records whether prediction
-and observation agree.  The parameterised criteria (COR_2_3, COR_2_4,
+and observation agree.  ``CRITERIA`` is the one table of what each
+criterion compares.  The parameterised criteria (COR_2_3, COR_2_4,
 COR_2_5) are swept over every admissible tuple of normal subgroups; each
 tuple contributes one row.
 
@@ -24,23 +25,13 @@ from dataclasses import dataclass, field
 from . import automorphisms as aut
 from . import criteria as crit
 from .catalog import GroupSpec, build_group, catalog
-from .errors import (
-    AbelianInputError,
-    ClassNotTwoError,
-    OrderBoundExceededError,
-)
+from .errors import AbelianInputError, ClassNotTwoError, OrderBoundExceededError
 from .groups import FiniteGroup, Subgroup, subgroup_product
 
-SINGLE_CRITERIA = {
-    crit.COR_2_6: (aut.IA_STAR, aut.CENTRAL, crit.cor_2_6),
-    crit.COR_2_7: (aut.CENTRAL, aut.C_STAR, crit.cor_2_7),
-    crit.COR_2_8: (aut.IA, aut.IA_STAR, crit.cor_2_8),
-    crit.COR_2_9: (aut.IA_STAR, aut.C_STAR, crit.cor_2_9),
-    crit.COR_2_10: (aut.IA, aut.C_STAR, crit.cor_2_10),
-    crit.THM_2_12: (aut.IA, aut.CENTRAL, crit.thm_2_12),
-}
 
-SWEEP_CRITERIA = (crit.COR_2_3, crit.COR_2_4, crit.COR_2_5)
+# The fixed JSON row schema, in output order; ``Row.note`` is text-only.
+JSON_FIELDS = ("group", "order", "prime", "criterion", "predicted", "observed",
+               "match", "clause", "elapsed_ms")
 
 
 @dataclass
@@ -57,19 +48,7 @@ class Row:
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "group": self.group,
-                "order": self.order,
-                "prime": self.prime,
-                "criterion": self.criterion,
-                "predicted": self.predicted,
-                "observed": self.observed,
-                "match": self.match,
-                "clause": self.clause,
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
+        return json.dumps({f: getattr(self, f) for f in JSON_FIELDS})
 
 
 @dataclass
@@ -164,23 +143,21 @@ def sweep_2_45(g: FiniteGroup):
             yield m, n
 
 
-class _Engine:
-    """Memoised access to the brute-force automorphism subgroups of one
-    group."""
-
-    def __init__(self, g: FiniteGroup, bound: int | None):
-        self.g = g
-        self.bound = bound
-        self._pairs: dict = {}
-
-    def distinguished(self, tag: str) -> aut.AutSet:
-        return aut.distinguished(self.g, tag, bound=self.bound)
-
-    def upper_lower(self, m: Subgroup, n: Subgroup) -> aut.AutSet:
-        key = (m.members, n.members)
-        if key not in self._pairs:
-            self._pairs[key] = aut.aut_upper_lower(self.g, m, n, bound=self.bound)
-        return self._pairs[key]
+# criterion id -> (predicate, tuple sweep or None, argument labels, left
+# side, right side).  A side is a distinguished tag, or the (upper, lower)
+# argument positions of Aut^{M}_{N}.  The predicate takes the group and
+# one swept tuple; single-group criteria have no sweep and no arguments.
+CRITERIA = {
+    crit.COR_2_3: (crit.cor_2_3, sweep_2_3, ("M1", "N1", "M2", "N2"), (0, 1), (2, 3)),
+    crit.COR_2_4: (crit.cor_2_4, sweep_2_45, ("M", "N"), (0, 1), aut.C_STAR),
+    crit.COR_2_5: (crit.cor_2_5, sweep_2_45, ("M", "N"), (0, 1), aut.CENTRAL),
+    crit.COR_2_6: (crit.cor_2_6, None, (), aut.IA_STAR, aut.CENTRAL),
+    crit.COR_2_7: (crit.cor_2_7, None, (), aut.CENTRAL, aut.C_STAR),
+    crit.COR_2_8: (crit.cor_2_8, None, (), aut.IA, aut.IA_STAR),
+    crit.COR_2_9: (crit.cor_2_9, None, (), aut.IA_STAR, aut.C_STAR),
+    crit.COR_2_10: (crit.cor_2_10, None, (), aut.IA, aut.C_STAR),
+    crit.THM_2_12: (crit.thm_2_12, None, (), aut.IA, aut.CENTRAL),
+}
 
 
 def verify_group(
@@ -195,12 +172,15 @@ def verify_group(
     ``explicit`` means the caller asked for these criteria by id, so an
     inapplicable criterion raises instead of being skipped.
     """
+    # Read up front, so a malformed AUTCRIT_AUT_BOUND fails every run,
+    # not only the runs that reach a search.
+    bound = aut.aut_bound()
     pp = g.prime_power()
     p = pp[0] if pp else None
     report = Report(name, g.n, p, group_summary(g, p))
-    selected = list(criteria_filter) if criteria_filter else list(crit.CRITERION_IDS)
+    selected = list(criteria_filter) if criteria_filter else list(CRITERIA)
     for c in selected:
-        if c not in crit.CRITERION_IDS:
+        if c not in CRITERIA:
             raise ValueError(f"unknown criterion id {c!r}")
     if g.n == 1 or g.is_abelian():
         if explicit:
@@ -209,88 +189,42 @@ def verify_group(
             )
         report.notes.append("abelian input: all criteria skipped (ABELIAN_INPUT)")
         return report
-    bound = max(aut.aut_bound(), g.n) if force else None
-    engine = _Engine(g, bound)
+    if force:
+        bound = max(bound, g.n)
+    pairs: dict = {}
+
+    def side(spec, args) -> aut.AutSet:
+        if isinstance(spec, str):
+            return aut.distinguished(g, spec, bound=bound)
+        m, n = args[spec[0]], args[spec[1]]
+        key = (m.members, n.members)
+        if key not in pairs:
+            pairs[key] = aut.aut_upper_lower(g, m, n, bound=bound)
+        return pairs[key]
+
     for cid in selected:
-        if cid in SINGLE_CRITERIA:
-            _run_single(report, engine, name, g, p, cid, explicit)
-        else:
-            _run_sweep(report, engine, name, g, p, cid)
+        predicate, sweep, labels, left, right = CRITERIA[cid]
+        for args in sweep(g) if sweep else [()]:
+            t0 = time.perf_counter()
+            try:
+                verdict = predicate(g, *args)
+            except ClassNotTwoError as exc:
+                if explicit:
+                    raise
+                report.notes.append(f"{cid}: skipped ({exc})")
+                continue
+            try:
+                observed = aut.autset_equal(side(left, args), side(right, args))
+            except OrderBoundExceededError as exc:
+                observed, note = None, f"skipped: {exc}"
+            else:
+                note = " ".join(f"{k}={s.describe()}" for k, s in zip(labels, args))
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            match = None if observed is None else observed == verdict.predicted_equal
+            report.rows.append(Row(name, g.n, p, cid, verdict.predicted_equal, observed,
+                                   match, verdict.clause, round(elapsed, 3), note))
     report.rows.sort(key=lambda r: (r.group, r.criterion))
     return report
-
-
-def _run_single(report, engine, name, g, p, cid, explicit):
-    left_tag, right_tag, predicate = SINGLE_CRITERIA[cid]
-    t0 = time.perf_counter()
-    try:
-        verdict = predicate(g)
-    except ClassNotTwoError as exc:
-        if explicit:
-            raise
-        report.notes.append(f"{cid}: skipped ({exc})")
-        return
-    observed, note = _observe(
-        lambda: aut.autset_equal(engine.distinguished(left_tag),
-                                 engine.distinguished(right_tag))
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    report.rows.append(
-        Row(
-            name, g.n, p, cid,
-            verdict.predicted_equal, observed,
-            None if observed is None else observed == verdict.predicted_equal,
-            verdict.clause, round(elapsed, 3), note,
-        )
-    )
-
-
-def _run_sweep(report, engine, name, g, p, cid):
-    if cid == crit.COR_2_3:
-        tuples = sweep_2_3(g)
-    else:
-        tuples = ((m, n) for m, n in sweep_2_45(g))
-    for tup in tuples:
-        t0 = time.perf_counter()
-        if cid == crit.COR_2_3:
-            m1, n1, m2, n2 = tup
-            verdict = crit.cor_2_3(g, m1, n1, m2, n2)
-            observed, note = _observe(
-                lambda: aut.autset_equal(engine.upper_lower(m1, n1),
-                                         engine.upper_lower(m2, n2))
-            )
-            desc = (f"M1={m1.describe()} N1={n1.describe()} "
-                    f"M2={m2.describe()} N2={n2.describe()}")
-        else:
-            m, n = tup
-            if cid == crit.COR_2_4:
-                verdict = crit.cor_2_4(g, m, n)
-                target = aut.C_STAR
-            else:
-                verdict = crit.cor_2_5(g, m, n)
-                target = aut.CENTRAL
-            observed, note = _observe(
-                lambda: aut.autset_equal(engine.upper_lower(m, n),
-                                         engine.distinguished(target))
-            )
-            desc = f"M={m.describe()} N={n.describe()}"
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        report.rows.append(
-            Row(
-                name, g.n, p, cid,
-                verdict.predicted_equal, observed,
-                None if observed is None else observed == verdict.predicted_equal,
-                verdict.clause, round(elapsed, 3),
-                note or desc,
-            )
-        )
-
-
-def _observe(thunk):
-    try:
-        return thunk(), ""
-    except OrderBoundExceededError as exc:
-        return None, f"skipped: {exc}"
 
 
 def verify_specs(

@@ -4,6 +4,7 @@ Tolerances are exact throughout (100% agreement, byte-identical output);
 the expected runtimes quoted in the pass lines are informational.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -210,3 +211,20 @@ def test_acceptance_8_determinism(verify_all_runs):
     assert outputs[0] == outputs[1]
     _pass(8, f"two fresh verify-all runs byte-identical modulo elapsed_ms "
              f"({len(outputs[0].splitlines())} rows)", t0)
+
+
+# sha256 of the verify-all JSON rows with elapsed_ms dropped; pins the
+# whole corpus output (row order, verdicts, clauses) across refactors.
+VERIFY_ALL_GOLDEN = "44c654598c47c7eba2b9313c62400c3487c85c9dbb9a6aaf6ec61f144b4f7a07"
+
+
+def test_verify_all_golden(verify_all_runs):
+    proc = verify_all_runs[0]
+    assert proc.returncode == 0, proc.stderr
+    rows = []
+    for ln in proc.stdout.splitlines():
+        row = json.loads(ln)
+        row.pop("elapsed_ms")
+        rows.append(json.dumps(row))
+    text = "\n".join(rows) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_GOLDEN

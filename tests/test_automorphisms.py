@@ -6,6 +6,7 @@ from autcrit.automorphisms import (
     CENTRAL,
     IA,
     IA_STAR,
+    aut_bound,
     aut_lower,
     aut_upper,
     aut_upper_lower,
@@ -25,6 +26,7 @@ from autcrit.catalog import (
     quaternion_group,
 )
 from autcrit.errors import (
+    ConfigError,
     HypothesisViolationError,
     OrderBoundExceededError,
     ParentMismatchError,
@@ -74,6 +76,24 @@ class TestAutomorphismGroup:
         g = cyclic_group(16)
         with pytest.raises(OrderBoundExceededError):
             automorphism_group(g, bound=8)
+
+    def test_bound_checked_after_caching(self):
+        g = build_group(get_spec("D16xC2"), fresh=True)
+        assert len(automorphism_group(g)) == 256
+        with pytest.raises(OrderBoundExceededError):
+            automorphism_group(g, bound=8)
+
+    def test_distinguished_bound_checked_after_caching(self):
+        g = build_group(get_spec("D16xC2"), fresh=True)
+        distinguished(g, CENTRAL)
+        with pytest.raises(OrderBoundExceededError):
+            distinguished(g, CENTRAL, bound=8)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_env_bound_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", raw)
+        with pytest.raises(ConfigError):
+            aut_bound()
 
     def test_deterministic(self):
         a = automorphism_group(quaternion_group(8), bound=None)

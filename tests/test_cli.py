@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from autcrit import cli
 from autcrit import criteria as crit
 from autcrit import report as report_mod
@@ -101,7 +103,7 @@ class TestVerify:
             assert row["match"] is True
 
     def test_injected_wrong_predicate_fails(self, monkeypatch, capsys):
-        left, right, _ = report_mod.SINGLE_CRITERIA[crit.COR_2_6]
+        _, *sides = report_mod.CRITERIA[crit.COR_2_6]
 
         def wrong(g):
             v = crit.cor_2_6(g)
@@ -111,9 +113,7 @@ class TestVerify:
                 crit.NONE if v.predicted_equal else crit.DEGENERATE_EQUALITY,
             )
 
-        monkeypatch.setitem(
-            report_mod.SINGLE_CRITERIA, crit.COR_2_6, (left, right, wrong)
-        )
+        monkeypatch.setitem(report_mod.CRITERIA, crit.COR_2_6, (wrong, *sides))
         assert cli.main(["verify", "Q8"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -125,6 +125,13 @@ class TestVerify:
         g2 = build_group(get_spec("Q8"), fresh=True)
         rep2 = verify_group("Q8", g2, ["COR_2_6"], force=True, explicit=True)
         assert rep2.rows[0].observed is True and rep2.rows[0].match is True
+
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_env_bound_exits_2(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", raw)
+        assert cli.main(["verify-all", "--p", "3"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
 
 
 class TestVerifyAll:

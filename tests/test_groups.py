@@ -342,6 +342,12 @@ class TestSubgroupEnumeration:
         with pytest.raises(OrderBoundExceededError):
             abelian_group(2, (1,) * 8).all_subgroups(bound=128)
 
+    def test_normal_subgroups_bound_checked_after_caching(self):
+        g = dihedral_group(16)
+        assert len(g.normal_subgroups()) > 0
+        with pytest.raises(OrderBoundExceededError):
+            g.normal_subgroups(bound=8)
+
     def test_lagrange_and_closure(self):
         g = dihedral_group(16)
         for s in g.all_subgroups():
