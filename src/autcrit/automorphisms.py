@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     HypothesisViolationError,
+    InvariantError,
     NotNormalError,
     OrderBoundExceededError,
     ParentMismatchError,
@@ -126,7 +127,8 @@ class AutSet:
         self.parent = parent
         self.members = frozenset(members)
         self.name = name
-        assert Automorphism(tuple(range(parent.n))) in self.members
+        if Automorphism(tuple(range(parent.n))) not in self.members:
+            raise InvariantError(f"{name} automorphism set lacks the identity")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -263,7 +265,8 @@ def _search(
 
     def dfs(img, used, elems, depth):
         if depth == len(gens):
-            assert len(elems) == n
+            if len(elems) != n:
+                raise InvariantError(f"generator images reach {len(elems)} of {n} elements")
             results.append(tuple(img))
             return
         for cand in pools[depth]:

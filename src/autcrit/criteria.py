@@ -102,11 +102,10 @@ def _subgroup_part(g: FiniteGroup, s: Subgroup, p: int) -> PPartition:
 
 def _mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
     """Partition of G / (G' N); the quotient is abelian by construction."""
-    gn = subgroup_product(g.derived_subgroup(), n)
-    key = ("mod_derived_part", gn.members)
+    key = ("mod_derived_part", n.members)
 
     def compute():
-        return g.quotient(gn).group.abelian_partition(p)
+        return _quotient_part(g, subgroup_product(g.derived_subgroup(), n), p)
 
     return g._memo(key, compute)
 

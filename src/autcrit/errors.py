@@ -45,6 +45,10 @@ class ConfigError(AutcritError):
     or out of range."""
 
 
+class InvariantError(AutcritError):
+    """A computed result broke an invariant (raised, so it holds under -O)."""
+
+
 class NotASubgroupError(AutcritError):
     """An element set is not closed under the group operation."""
 

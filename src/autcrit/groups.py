@@ -3,9 +3,10 @@
 Groups here are small (a few hundred elements at most for structural
 work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
-serialisation, and cheap whole-table validation; everything structural
-(center, derived subgroup, quotients, subgroup lattice, abelian
-invariants) is computed by direct scans and closures over the table.
+serialisation, and whole-table validation that proves associativity by
+Light's test on a generating set; everything structural (center, derived
+subgroup, quotients, subgroup lattice, abelian invariants) is computed by
+direct scans and closures over the table.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -21,6 +22,7 @@ import numpy as np
 from .abelian import PPartition
 from .errors import (
     InvalidPermutationError,
+    InvariantError,
     NoIdentityError,
     NotAbelianError,
     NotASubgroupError,
@@ -34,10 +36,6 @@ from .errors import (
 
 DEFAULT_INGEST_BOUND = 10_000
 DEFAULT_SUBGROUP_ENUM_BOUND = 128
-
-# Above this order, associativity is checked with Light's test instead
-# of the full triple scan.
-_FULL_ASSOC_LIMIT = 300
 
 
 def prime_power_order(n: int) -> tuple[int, int] | None:
@@ -133,7 +131,6 @@ class FiniteGroup:
                         )
                     index[v] = len(elems)
                     elems.append(v)
-        n = len(elems)
         table = [
             [index[tuple(a[b[x]] for x in range(degree))] for b in elems] for a in elems
         ]
@@ -236,17 +233,16 @@ class FiniteGroup:
                     work.append(v)
         return frozenset(members)
 
-    def subgroup(self, members, check: bool = True) -> "Subgroup":
+    def subgroup(self, members) -> "Subgroup":
         """Wrap an element set as a Subgroup, verifying closure."""
         ms = frozenset(int(x) for x in members) | {0}
-        if check:
-            t = self.table
-            for a in ms:
-                for b in ms:
-                    if t[a][b] not in ms:
-                        raise NotASubgroupError(
-                            f"set of size {len(ms)} not closed: {a}*{b} escapes"
-                        )
+        t = self.table
+        for a in ms:
+            for b in ms:
+                if t[a][b] not in ms:
+                    raise NotASubgroupError(
+                        f"set of size {len(ms)} not closed: {a}*{b} escapes"
+                    )
         return Subgroup(self, ms)
 
     def generated_subgroup(self, seed) -> "Subgroup":
@@ -421,7 +417,8 @@ class FiniteGroup:
                    reverse=True)
         )
         part = PPartition(q, exps)
-        assert part.order == self.n
+        if part.order != self.n:
+            raise InvariantError(f"partition {part} does not have order {self.n}")
         return part
 
     def abelian_basis(self) -> list[tuple[int, int]]:
@@ -450,7 +447,8 @@ class FiniteGroup:
         total = 1
         for _, o in basis:
             total *= o
-        assert total == self.n
+        if total != self.n:
+            raise InvariantError(f"basis orders multiply to {total}, not {self.n}")
         return basis
 
     def nilpotence_class(self) -> int:
@@ -630,9 +628,6 @@ class Subgroup:
         g, _ = self.as_group()
         return g.abelian_partition(p)
 
-    def describe(self) -> str:
-        return f"order {self.order} {{{','.join(str(x) for x in self.sorted_members)}}}"
-
 
 def subgroup_product(h: Subgroup, k: Subgroup) -> Subgroup:
     """The set product HK, valid when at least one factor is normal.
@@ -667,9 +662,10 @@ class Quotient:
     projection: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.group.n * self.kernel.order == self.base.n
-        assert all(self.projection[x] == 0 for x in self.kernel.members)
-        assert self.projection.count(0) == self.kernel.order
+        if not (self.group.n * self.kernel.order == self.base.n
+                and all(self.projection[x] == 0 for x in self.kernel.members)
+                and self.projection.count(0) == self.kernel.order):
+            raise InvariantError("quotient order or projection does not match the kernel")
 
 
 def _find_identity(rows) -> int | None:
@@ -681,6 +677,12 @@ def _find_identity(rows) -> int | None:
 
 
 def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Check that a Cayley table is a group with identity 0.
+
+    Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x, y
+    are closed under the product, so checking a generating set is enough.
+    Before associativity is known, "generates" must mean closure under the
+    raw binary product (all bracketings), grown by full pairwise products."""
     n = len(rows)
     if n == 0:
         raise NoIdentityError("empty table")
@@ -693,32 +695,13 @@ def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
         raise NotLatinSquareError("a row or column is not a permutation")
     if not (np.array_equal(arr[0], ident) and np.array_equal(arr[:, 0], ident)):
         raise NoIdentityError("element 0 is not a two-sided identity")
-    if n <= _FULL_ASSOC_LIMIT:
-        # (a*b)*c versus a*(b*c), vectorised one first factor at a time.
-        for a in range(n):
-            if not np.array_equal(arr[arr[a]], arr[a][arr]):
-                raise NotAssociativeError(f"associativity fails with first factor {a}")
-    else:
-        _lights_test(rows)
-
-
-def _lights_test(rows) -> None:
-    """Light's associativity test: (x*g)*y = x*(g*y) for every g in a
-    generating set proves full associativity.
-
-    Before associativity is known, "generates" must mean closure under
-    the raw binary product (all bracketings), so the closure is grown by
-    full pairwise products."""
-    n = len(rows)
-    arr = np.array(rows, dtype=np.int64)
     gens: list[int] = []
     closure = {0}
     while len(closure) < n:
         gens.append(min(x for x in range(n) if x not in closure))
         closure.add(gens[-1])
         while True:
-            cur = np.fromiter(closure, count=len(closure), dtype=np.int64)
-            prods = set(arr[np.ix_(cur, cur)].ravel().tolist())
+            prods = {rows[a][b] for a in closure for b in closure}
             if prods <= closure:
                 break
             closure |= prods

@@ -29,7 +29,9 @@ from .errors import AbelianInputError, ClassNotTwoError, OrderBoundExceededError
 from .groups import FiniteGroup, Subgroup, subgroup_product
 
 
-# The fixed JSON row schema, in output order; ``Row.note`` is text-only.
+# The fixed JSON row schema, in output order.  ``Row.note`` (a skip reason)
+# and ``Row.args`` (the swept subgroups' member tuples, not Subgroup objects,
+# so a finished report keeps no group alive) are text-only.
 JSON_FIELDS = ("group", "order", "prime", "criterion", "predicted", "observed",
                "match", "clause", "elapsed_ms")
 
@@ -46,6 +48,7 @@ class Row:
     clause: str
     elapsed_ms: float
     note: str = ""
+    args: tuple[tuple[int, ...], ...] = ()
 
     def to_json(self) -> str:
         return json.dumps({f: getattr(self, f) for f in JSON_FIELDS})
@@ -104,18 +107,9 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
 
 
 def center_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All subgroups of Z(G), as subgroups of G, deterministically ordered."""
-    def compute():
-        z = g.center()
-        zg, back = z.as_group()
-        subs = [
-            g.subgroup(frozenset(back[i] for i in s.members), check=False)
-            for s in zg.all_subgroups()
-        ]
-        subs.sort(key=lambda s: (s.order, s.sorted_members))
-        return subs
-
-    return g._memo("center_subgroups", compute)
+    """All subgroups of Z(G), in the order of ``g.all_subgroups()``."""
+    z = g.center().members
+    return [s for s in g.all_subgroups() if s.members <= z]
 
 
 def sweep_2_3(g: FiniteGroup):
@@ -138,8 +132,9 @@ def sweep_2_45(g: FiniteGroup):
     """Admissible (M, N) pairs with M <= Z(G) <= N, both normal."""
     z = g.center()
     normals = [n for n in g.normal_subgroups() if z.members <= n.members]
+    zsubs = center_subgroups(g)
     for n in normals:
-        for m in center_subgroups(g):
+        for m in zsubs:
             yield m, n
 
 
@@ -203,9 +198,10 @@ def verify_group(
         return pairs[key]
 
     for cid in selected:
-        predicate, sweep, labels, left, right = CRITERIA[cid]
+        predicate, sweep, _, left, right = CRITERIA[cid]
         for args in sweep(g) if sweep else [()]:
             t0 = time.perf_counter()
+            note = ""
             try:
                 verdict = predicate(g, *args)
             except ClassNotTwoError as exc:
@@ -217,12 +213,11 @@ def verify_group(
                 observed = aut.autset_equal(side(left, args), side(right, args))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
-            else:
-                note = " ".join(f"{k}={s.describe()}" for k, s in zip(labels, args))
             elapsed = (time.perf_counter() - t0) * 1000.0
             match = None if observed is None else observed == verdict.predicted_equal
             report.rows.append(Row(name, g.n, p, cid, verdict.predicted_equal, observed,
-                                   match, verdict.clause, round(elapsed, 3), note))
+                                   match, verdict.clause, round(elapsed, 3), note,
+                                   tuple(s.sorted_members for s in args)))
     report.rows.sort(key=lambda r: (r.group, r.criterion))
     return report
 
@@ -279,12 +274,16 @@ def report_to_text(report: Report, verbose: bool = False) -> str:
                 f"  {cid:10s} tuples={len(rows)} match={n_match} skipped={n_skip}"
                 f" mismatch={n_bad} {status}"
             )
+        labels = CRITERIA[cid][2]
         shown = rows if verbose else [r for r in rows if r.match is False]
         for r in shown:
             if len(rows) > 1:
+                # the skip reason, else each swept subgroup's order and members
+                note = r.note or " ".join(f"{k}=order {len(ms)} {{{','.join(map(str, ms))}}}"
+                                          for k, ms in zip(labels, r.args))
                 lines.append(
                     f"    predicted={_tf(r.predicted)} observed={_tf(r.observed)}"
-                    f" clause={r.clause} {r.note}"
+                    f" clause={r.clause} {note}"
                 )
     return "\n".join(lines)
 

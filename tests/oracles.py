@@ -167,3 +167,13 @@ def unpruned_direct_factor(g):
             if a.order * b.order == g.n and len(a.members & b.members) == 1:
                 return a, b
     return None
+
+
+def is_associative(table):
+    """Whether (a*b)*c == a*(b*c) for every triple, by a raw scan of the
+    table: row a*b must equal row a read through row b."""
+    for row_a in table:
+        for b, row_b in enumerate(table):
+            if list(table[row_a[b]]) != [row_a[x] for x in row_b]:
+                return False
+    return True

@@ -1,4 +1,9 @@
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autcrit.abelian import PPartition, partitions_up_to
 from autcrit.catalog import (
@@ -21,7 +26,7 @@ from autcrit.errors import (
     OrderBoundExceededError,
 )
 from autcrit.groups import FiniteGroup, direct_product, subgroup_product
-from oracles import min_generating_size, unpruned_direct_factor
+from oracles import is_associative, min_generating_size, unpruned_direct_factor
 
 # Latin square with identity 0 that fails associativity: (1*1)*2 != 1*(1*2)
 NONASSOC_5 = [
@@ -70,11 +75,14 @@ class TestFromTable:
             FiniteGroup.from_table(NONASSOC_5)
 
     def test_generator_test_accepts_large_group(self):
-        # above the full triple-scan limit the generator-based test runs
+        # Light's test over generators found by raw-product closure, on
+        # an order where a triple scan would cost 343**3 products
         g = direct_product(cyclic_group(7), cyclic_group(49))
         assert g.n == 343
 
     def test_generator_test_rejects_large_loop(self):
+        # NONASSOC_5 x C64: a loop of order 320 whose failure Light's test
+        # must reach through one of its generators
         m = 64
         cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
         table = [
@@ -84,6 +92,50 @@ class TestFromTable:
         ]
         with pytest.raises(NotAssociativeError):
             FiniteGroup(table)
+
+
+def intercalates(rows):
+    """(a, b, c, d) with rows a < b and columns c < d, none of them 0,
+    such that rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]."""
+    n = len(rows)
+    return [
+        (a, b, c, d)
+        for a in range(1, n) for b in range(a + 1, n)
+        for c in range(1, n) for d in range(c + 1, n)
+        if rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]
+    ]
+
+
+class TestAssociativityAgainstOracle:
+    """FiniteGroup raises NotAssociativeError exactly when the triple-scan
+    oracle finds a non-associative triple."""
+
+    def test_catalog_tables(self, corpus):
+        for name, (spec, g) in sorted(corpus.items()):
+            assert is_associative(g.table), name
+            assert FiniteGroup(g.table).table == g.table, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_switched_loops(self, corpus, data):
+        # Swapping the two columns of an intercalate within both of its
+        # rows keeps a Latin square with identity 0, usually breaking
+        # associativity.
+        tables = [g.table for _, (spec, g) in sorted(corpus.items())
+                  if spec.prime == 2 and 4 <= g.n <= 16]
+        rows = [list(r) for r in data.draw(st.sampled_from(tables))]
+        for _ in range(data.draw(st.integers(1, 3))):
+            spots = intercalates(rows)
+            if not spots:
+                break
+            a, b, c, d = data.draw(st.sampled_from(spots))
+            rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
+            rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
+        if is_associative(rows):
+            FiniteGroup(rows)
+        else:
+            with pytest.raises(NotAssociativeError):
+                FiniteGroup(rows)
 
 
 class TestFromPermutations:
@@ -197,6 +249,23 @@ class TestQuotient:
         )
         with pytest.raises(NotNormalError):
             g.quotient(g.subgroup({0, refl}))
+
+    def test_bad_quotient_raises_under_optimize(self):
+        # a typed raise, not an assert, so python -O keeps the check
+        code = (
+            "from autcrit.catalog import dihedral_group\n"
+            "from autcrit.errors import InvariantError\n"
+            "from autcrit.groups import Quotient\n"
+            "g = dihedral_group(8)\n"
+            "try:\n"
+            "    Quotient(g, g.center(), g, tuple(range(g.n)))\n"
+            "except InvariantError:\n"
+            "    print('InvariantError')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "InvariantError\n"
 
     def test_projection_is_homomorphism(self):
         g = quaternion_group(8)
