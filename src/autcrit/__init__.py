@@ -5,7 +5,6 @@ machinery that verifies them on a corpus of small groups."""
 from .abelian import (
     HomVerdict,
     PPartition,
-    PPower,
     decide_hom_equal_sources,
     decide_hom_equal_targets,
     embeds,
@@ -14,7 +13,6 @@ from .abelian import (
     hom_type,
     rank,
     var,
-    var_index,
 )
 from .groups import FiniteGroup, Quotient, Subgroup, direct_product
 from .automorphisms import (
@@ -55,7 +53,6 @@ __all__ = [
     "GroupSpec",
     "HomVerdict",
     "PPartition",
-    "PPower",
     "Quotient",
     "Subgroup",
     "adney_yen_check",
@@ -89,5 +86,4 @@ __all__ = [
     "rank",
     "thm_2_12",
     "var",
-    "var_index",
 ]

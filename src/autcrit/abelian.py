@@ -8,19 +8,25 @@ Hom-group orders and structure, and the ``var`` marker: for two embedded
 groups of equal rank, the order of the last cyclic factor of the smaller
 group that is strictly below the corresponding factor of the larger one.
 
-The two ``decide_hom_equal_*`` procedures settle, by pure arithmetic,
-whether enlarging the target (resp. shrinking the source) of a Hom group
-changes it.  They return structured verdicts naming the clause that
-fired, so callers can report why two automorphism subgroups coincide.
+One decision, ``decide_hom_equal_targets``, settles by pure arithmetic
+whether enlarging the target of a Hom group changes it, and returns a
+structured verdict naming the clause that fired, so callers can report
+why two automorphism subgroups coincide.  Shrinking the source is the
+same decision with the roles swapped, since |Hom(X, Y)| = |Hom(Y, X)|;
+``decide_hom_equal_sources`` is that call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 
-from .errors import HypothesisViolationError, PrimeMismatchError, VarUndefinedError
+from .errors import (
+    HypothesisViolationError,
+    InvariantError,
+    PrimeMismatchError,
+    VarUndefinedError,
+)
 
 # Clause tags for HomVerdict.
 IDENTICAL = "IDENTICAL"
@@ -91,48 +97,6 @@ class PPartition:
         return tuple(self.p**e for e in self.exps)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class PPower:
-    """The integer p**k, kept in exact (p, k) form."""
-
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.k < 0:
-            raise ValueError(f"negative exponent {self.k}")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.k
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PPower):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, PPower):
-            return self.value < other.value
-        if isinstance(other, int):
-            return self.value < other
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 @dataclass(frozen=True)
 class HomVerdict:
     """Outcome of a Hom-group equality decision.
@@ -151,11 +115,10 @@ class HomVerdict:
     detail: str = ""
 
     def __post_init__(self):
-        if self.clause in (IDENTICAL, RANK_AND_VAR, TRIVIAL_HOM):
-            assert self.equal
-        if self.clause == UNEQUAL:
-            assert not self.equal
-        assert (self.r_index is not None) == (self.clause == RANK_AND_VAR)
+        if self.equal == (self.clause == UNEQUAL):
+            raise InvariantError(f"clause {self.clause} with equal = {self.equal}")
+        if (self.r_index is not None) != (self.clause == RANK_AND_VAR):
+            raise InvariantError(f"clause {self.clause} with r_index = {self.r_index}")
 
 
 def _require_same_prime(*parts: PPartition) -> int:
@@ -171,9 +134,9 @@ def rank(x: PPartition) -> int:
     return len(x.exps)
 
 
-def exponent(x: PPartition) -> PPower:
+def exponent(x: PPartition) -> int:
     """Largest cyclic-factor order; p**0 = 1 for the trivial group."""
-    return PPower(x.p, x.exps[0] if x.exps else 0)
+    return x.p ** (x.exps[0] if x.exps else 0)
 
 
 def embeds(x: PPartition, y: PPartition) -> bool:
@@ -189,7 +152,7 @@ def embeds(x: PPartition, y: PPartition) -> bool:
     return all(a <= b for a, b in zip(x.exps, y.exps))
 
 
-def var_with_index(x: PPartition, y: PPartition) -> tuple[PPower, int]:
+def var_with_index(x: PPartition, y: PPartition) -> tuple[int, int]:
     """var(X, Y) together with its 1-based factor index r.
 
     Defined for X properly embedded in Y with rank(X) = rank(Y): r is
@@ -204,18 +167,13 @@ def var_with_index(x: PPartition, y: PPartition) -> tuple[PPower, int]:
     if not embeds(x, y):
         raise VarUndefinedError(f"var({x}, {y}): {x} is not embedded in {y}")
     r = max(i for i, (a, b) in enumerate(zip(x.exps, y.exps)) if a < b)
-    return PPower(x.p, x.exps[r]), r + 1
+    return x.p ** x.exps[r], r + 1
 
 
-def var(x: PPartition, y: PPartition) -> PPower:
+def var(x: PPartition, y: PPartition) -> int:
     """Order of the last cyclic factor of X strictly smaller than the
     corresponding factor of Y."""
     return var_with_index(x, y)[0]
-
-
-def var_index(x: PPartition, y: PPartition) -> int:
-    """The 1-based index r at which var(X, Y) is attained."""
-    return var_with_index(x, y)[1]
 
 
 def hom_order(a: PPartition, b: PPartition) -> int:
@@ -269,31 +227,11 @@ def decide_hom_equal_targets(a: PPartition, b: PPartition, c: PPartition) -> Hom
 def decide_hom_equal_sources(d: PPartition, a: PPartition, b: PPartition) -> HomVerdict:
     """Decide whether |Hom(D, B)| = |Hom(A, B)| for D a quotient of A.
 
-    Equality holds iff D = A, or B is trivial (both Hom groups are then
-    trivial), or d(D) = d(A) and exp(B) <= var(D, A).  Unlike the
-    targets version this is a statement about cardinalities only: the
-    two Hom groups live over different sources.
+    Both orders are products of p**min(x_i, y_j) over factor pairs, so
+    |Hom(X, Y)| = |Hom(Y, X)| and this is the targets decision for (B, D, A):
+    same hypothesis, branches and ``r_index``; the detail uses its letters.
     """
-    _require_same_prime(d, a, b)
-    if not embeds(d, a):
-        raise HypothesisViolationError(f"{d} is not a quotient of {a}")
-    if d == a:
-        return HomVerdict(True, IDENTICAL, detail=f"D = A = {d}")
-    if b.is_trivial:
-        return HomVerdict(True, TRIVIAL_HOM, detail="B is trivial; both Hom groups are trivial")
-    if rank(d) != rank(a):
-        return HomVerdict(
-            False, UNEQUAL, detail=f"d(D) = {rank(d)} != d(A) = {rank(a)}"
-        )
-    v, r = var_with_index(d, a)
-    if exponent(b) <= v:
-        return HomVerdict(
-            True, RANK_AND_VAR, r_index=r,
-            detail=f"exp(B) = {exponent(b)} <= var(D, A) = {v} at r = {r}",
-        )
-    return HomVerdict(
-        False, UNEQUAL, detail=f"exp(B) = {exponent(b)} > var(D, A) = {v} at r = {r}"
-    )
+    return decide_hom_equal_targets(b, d, a)
 
 
 def partitions_up_to(p: int, max_sum: int) -> list[PPartition]:

@@ -297,7 +297,8 @@ def inner_automorphisms(g: FiniteGroup) -> AutSet:
             for a in range(g.n)
         }
         s = AutSet(g, members, INN)
-        assert len(s) * g.center().order == g.n
+        if len(s) * g.center().order != g.n:
+            raise InvariantError(f"{len(s)} inner automorphisms for |Z(G)| = {g.center().order}")
         return s
 
     return g._memo("aut_inn", compute)
@@ -401,7 +402,8 @@ def hom_automorphism_pairs(
                 new.append((cur, v))
         for elem, v in new:
             coords.setdefault(elem, v)
-    assert len(coords) == a.n
+    if len(coords) != a.n:
+        raise InvariantError(f"basis coordinates reach {len(coords)} of {a.n} elements")
 
     to_ab = [qab.projection[q.projection[gg]] for gg in range(g.n)]
     orders = g.element_orders()

@@ -11,13 +11,15 @@ Group references are catalog names (``autcrit list``) or paths to
 ``p^[e1,e2,...]``.  The environment variable AUTCRIT_AUT_BOUND caps the
 order of groups whose automorphisms are enumerated; ``--force`` lifts
 the cap for the given run.  Exit status is nonzero whenever a predicted
-verdict disagrees with brute force, or input validation fails.
+verdict disagrees with brute force, or input validation fails; it is
+141 when the reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abelian import PPartition, hom_order, hom_type
@@ -37,7 +39,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone: flush to devnull at exit, status as for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AutcritError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -46,6 +46,7 @@ from .errors import (
     AbelianInputError,
     ClassNotTwoError,
     HypothesisViolationError,
+    InvariantError,
 )
 from .automorphisms import CENTRAL, distinguished
 from .groups import FiniteGroup, Subgroup, subgroup_product
@@ -79,7 +80,8 @@ class CriterionVerdict:
     evidence: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert (self.clause == NONE) == (not self.predicted_equal)
+        if (self.clause == NONE) == self.predicted_equal:
+            raise InvariantError(f"clause {self.clause} contradicts predicted_equal")
 
 
 def _require_nonabelian_p_group(g: FiniteGroup) -> int:
@@ -318,10 +320,10 @@ def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
         )
         return CriterionVerdict(COR_2_10, False, NONE, evidence)
     quantities = {
-        "exp(G')": int(exponent(dp)),
-        "var(G/Z,G/G')": int(var(qz, q0)),
-        "exp(G/Z)": int(exponent(qz)),
-        "var(G',Z)": int(var(dp, zp)),
+        "exp(G')": exponent(dp),
+        "var(G/Z,G/G')": var(qz, q0),
+        "exp(G/Z)": exponent(qz),
+        "var(G',Z)": var(dp, zp),
     }
     evidence.update({k: str(v) for k, v in quantities.items()})
     values = set(quantities.values())

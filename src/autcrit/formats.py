@@ -4,7 +4,7 @@ Cayley files: a ``cayley n`` header line, then n rows of n 0-based
 indices; element 0 must be the identity.  Permutation files: a ``perm d``
 header, then one generator per line in disjoint-cycle notation over
 1..d, e.g. ``(1 2 3 4)(5 6)``; fixed points are omitted and ``()`` is
-the identity.
+the identity.  A header size above the ingest bound is refused unread.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .errors import GroupFileError, InvalidPermutationError
-from .groups import FiniteGroup
+from .errors import GroupFileError, InvalidPermutationError, OrderBoundExceededError
+from .groups import DEFAULT_INGEST_BOUND, FiniteGroup
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -77,6 +77,8 @@ def parse_group_text(text: str) -> FiniteGroup:
         size = int(header[1])
     except ValueError:
         raise GroupFileError(f"bad header size in {lines[0]!r}") from None
+    if size > DEFAULT_INGEST_BOUND:
+        raise OrderBoundExceededError(f"{header[0]} {size} exceeds bound {DEFAULT_INGEST_BOUND}")
     if header[0] == "cayley":
         rows = []
         for ln in lines[1:]:

@@ -65,24 +65,21 @@ def prime_power_order(n: int) -> tuple[int, int] | None:
 class FiniteGroup:
     """A finite group given by its Cayley table (element 0 is the identity)."""
 
-    __slots__ = ("n", "table", "labels", "_inv", "_cache")
+    __slots__ = ("n", "table", "_inv", "_cache")
 
-    def __init__(self, table, labels=None):
+    def __init__(self, table):
         rows = tuple(tuple(int(x) for x in row) for row in table)
         self.n = len(rows)
         self.table = rows
-        self.labels = tuple(labels) if labels is not None else None
         self._cache: dict = {}
         _validate_table(rows)
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length does not match group order")
         inv = [0] * self.n
         for a in range(self.n):
             inv[a] = rows[a].index(0)
         self._inv = tuple(inv)
 
     @classmethod
-    def from_table(cls, table, labels=None) -> "FiniteGroup":
+    def from_table(cls, table) -> "FiniteGroup":
         """Validate an arbitrary Cayley table, relocating the identity to
         index 0 if needed."""
         rows = [list(row) for row in table]
@@ -95,9 +92,7 @@ class FiniteGroup:
             swap[0], swap[e] = e, 0
             # swap is an involution, so it is its own inverse relabelling
             rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
-            if labels is not None:
-                labels = [labels[swap[a]] for a in range(n)]
-        return cls(rows, labels)
+        return cls(rows)
 
     @classmethod
     def from_permutation_generators(
@@ -270,14 +265,7 @@ class FiniteGroup:
 
     def derived_subgroup(self) -> "Subgroup":
         def compute():
-            t = self.table
-            inv = self._inv
-            comms = set()
-            for a in range(self.n):
-                ia = inv[a]
-                for b in range(self.n):
-                    comms.add(t[t[ia][inv[b]]][t[a][b]])
-            s = Subgroup(self, self.closure(comms))
+            s = self.commutator_with(self.full_subgroup())
             s._cache["normal"] = True
             return s
 

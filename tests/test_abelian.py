@@ -8,7 +8,6 @@ from autcrit.abelian import (
     TRIVIAL_HOM,
     UNEQUAL,
     PPartition,
-    PPower,
     decide_hom_equal_sources,
     decide_hom_equal_targets,
     embeds,
@@ -18,7 +17,6 @@ from autcrit.abelian import (
     partitions_up_to,
     rank,
     var,
-    var_index,
     var_with_index,
 )
 from autcrit.errors import (
@@ -72,18 +70,6 @@ class TestPPartition:
             PPartition.parse("C4xC2")
 
 
-class TestPPower:
-    def test_value_and_comparisons(self):
-        assert int(PPower(2, 3)) == 8
-        assert PPower(2, 2) == 4
-        assert PPower(2, 1) <= PPower(3, 1)
-        assert PPower(3, 0) == PPower(2, 0) == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            PPower(2, -1)
-
-
 class TestRankExponent:
     def test_rank(self):
         assert rank(pp(2, 2, 1)) == 2
@@ -129,7 +115,6 @@ class TestVar:
 
     def test_accessors(self):
         assert var(pp(2, 1, 1), pp(2, 2, 1)) == 2
-        assert var_index(pp(2, 1, 1), pp(2, 2, 1)) == 1
 
     @pytest.mark.parametrize(
         "x,y",

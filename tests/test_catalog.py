@@ -5,7 +5,7 @@ import pytest
 
 from autcrit.abelian import PPartition, partitions_up_to
 from autcrit.catalog import build_group, catalog, eval_recipe, get_spec, load_group
-from autcrit.errors import GroupFileError, NotLatinSquareError
+from autcrit.errors import GroupFileError, NotLatinSquareError, OrderBoundExceededError
 from autcrit.formats import (
     format_cycles,
     parse_cycles,
@@ -13,6 +13,7 @@ from autcrit.formats import (
     read_group_file,
     write_cayley_file,
 )
+from autcrit.groups import DEFAULT_INGEST_BOUND
 
 
 TABLES_GOLDEN = "3d522a52345ce0ae65ce1c6c3e89ab8c168274839443ce3268b7394b0d3fe16d"
@@ -191,6 +192,12 @@ class TestFiles:
     def test_bad_header(self):
         with pytest.raises(GroupFileError):
             parse_group_text("magma 3\n0 1 2\n")
+
+    @pytest.mark.parametrize("body", ["perm {}\n()\n", "cayley {}\n"])
+    def test_header_above_ingest_bound(self, body):
+        # refused from the header alone, before any row is parsed
+        with pytest.raises(OrderBoundExceededError):
+            parse_group_text(body.format(DEFAULT_INGEST_BOUND + 1))
 
     def test_missing_file(self):
         with pytest.raises(GroupFileError):

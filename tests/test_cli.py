@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from autcrit import criteria as crit
 from autcrit import report as report_mod
 from autcrit.catalog import build_group, get_spec
 from autcrit.criteria import CriterionVerdict
+from autcrit.groups import DEFAULT_INGEST_BOUND
 from autcrit.report import verify_group
 
 JSON_FIELDS = [
@@ -48,6 +51,12 @@ class TestAnalyze:
         path = tmp_path / "k4.cayley"
         path.write_text("cayley 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
         assert cli.main(["analyze", str(path)]) == 0
+
+    def test_oversize_header(self, tmp_path, capsys):
+        path = tmp_path / "big.perm"
+        path.write_text(f"perm {DEFAULT_INGEST_BOUND + 1}\n()\n")
+        assert cli.main(["analyze", str(path)]) == 2
+        assert "OrderBoundExceeded" in capsys.readouterr().err
 
     def test_unknown(self, capsys):
         assert cli.main(["analyze", "NoSuchGroup"]) == 2
@@ -92,6 +101,18 @@ class TestVerify:
         path.write_text("perm 3\n(1 2 3)\n(1 2)\n")
         assert cli.main(["verify", str(path)]) == 2
         assert "NotPGroup" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_141(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "autcrit.cli", "verify", "Q8", "--verbose"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the child has imported anything
+        status = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert status == 141, err
+        assert "Traceback" not in err
 
     def test_json_schema(self, capsys):
         assert cli.main(["verify", "Q8", "--format", "json"]) == 0

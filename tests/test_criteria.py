@@ -154,7 +154,7 @@ class TestCor25:
         z = m16.center()
         v = cor_2_5(m16, z, m16.full_subgroup())
         assert not v.predicted_equal
-        assert "d(D) = 0" in v.evidence["case_i"]
+        assert "d(B) = 0" in v.evidence["case_i"]
 
     def test_reduction_to_identical_quotients(self, q8):
         # N inside G' makes G'N = G': clause (ii) via N <= G'
