@@ -18,8 +18,6 @@ from .groups import FiniteGroup, Quotient, Subgroup, direct_product
 from .automorphisms import (
     AutSet,
     Automorphism,
-    aut_lower,
-    aut_upper,
     aut_upper_lower,
     automorphism_group,
     autset_equal,
@@ -56,8 +54,6 @@ __all__ = [
     "Quotient",
     "Subgroup",
     "adney_yen_check",
-    "aut_lower",
-    "aut_upper",
     "aut_upper_lower",
     "automorphism_group",
     "autset_equal",

@@ -8,15 +8,14 @@ subgroup generated so far, checking multiplicativity and injectivity as
 the closure grows, so every completed assignment is a verified
 automorphism by construction.
 
-The same search answers three constrained questions without enumerating
-the full automorphism group:
-
-* ``aut_lower(G, Y)`` seeds the partial map with the identity on Y, so
-  only a complement of Y is searched;
-* ``aut_upper(G, X)`` restricts the image of each generator g to the
-  coset gX, which forces g^-1 alpha(g) in X everywhere once X is
-  normal;
-* ``aut_upper_lower`` applies both.
+Every constrained question is one search for Aut^X_Y(G), the
+automorphisms alpha with g^-1 alpha(g) in X for every g that also fix Y
+pointwise, for normal X and Y: ``aut_upper_lower(G, X, Y)`` seeds the
+partial map with the identity on Y, so only a complement of Y is
+searched, and restricts the image of each generator g to the coset gX.
+Aut^X is ``aut_upper_lower(G, X, 1)`` and Aut_Y is
+``aut_upper_lower(G, G, Y)``; the full group is the search with X = G
+and Y = 1.
 
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
@@ -51,8 +50,6 @@ CENTRAL = "CENTRAL"
 C_STAR = "C_STAR"
 IA = "IA"
 IA_STAR = "IA_STAR"
-UPPER_X = "UPPER_X"
-LOWER_Y = "LOWER_Y"
 UPPER_LOWER_XY = "UPPER_LOWER_XY"
 
 DISTINGUISHED_TAGS = (CENTRAL, C_STAR, IA, IA_STAR)
@@ -139,14 +136,6 @@ class AutSet:
     def __contains__(self, a: Automorphism) -> bool:
         return a in self.members
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AutSet):
-            return NotImplemented
-        return self.parent.table == other.parent.table and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
     def __repr__(self) -> str:
         return f"AutSet({self.name}, order={len(self.members)})"
 
@@ -175,25 +164,15 @@ def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
     return g._memo("aut_fingerprints", compute)
 
 
-def _search(
-    g: FiniteGroup,
-    fixed: Subgroup | None = None,
-    upper: Subgroup | None = None,
-    bound: int | None = None,
-) -> list[tuple[int, ...]]:
+def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[tuple[int, ...]]:
     """Backtracking core; returns sorted image tuples of all
     automorphisms fixing ``fixed`` pointwise with generator images in
     their ``upper`` cosets."""
-    _check_bound(g, bound)
     n = g.n
-    if n == 1:
-        return [(0,)]
     table = g.table
 
     # Seed with the identity on the fixed subgroup, then extend the seed's
     # generators to a generating sequence of all of G.
-    if fixed is None:
-        fixed = g.trivial_subgroup()
     base_members = list(fixed.sorted_members)
     base_gens = fixed.generators()
     gens = g.generating_sequence(fixed.members)
@@ -206,11 +185,8 @@ def _search(
     prints = _fingerprints(g)
     pools: list[list[int]] = []
     for h in gens:
-        pool = [c for c in range(n) if prints[c] == prints[h]]
-        if upper is not None:
-            coset = {table[h][x] for x in upper.members}
-            pool = [c for c in pool if c in coset]
-        pools.append(sorted(pool))
+        coset = {table[h][x] for x in upper.members}
+        pools.append([c for c in range(n) if prints[c] == prints[h] and c in coset])
 
     tgens = base_gens + gens  # products are checked against all of these
     results: list[tuple[int, ...]] = []
@@ -284,7 +260,8 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
     _check_bound(g, bound)
 
     def compute():
-        return AutSet(g, (Automorphism(t) for t in _search(g, bound=bound)), FULL)
+        found = _search(g, g.full_subgroup(), g.trivial_subgroup())
+        return AutSet(g, (Automorphism(t) for t in found), FULL)
 
     return g._memo("aut_full", compute)
 
@@ -309,30 +286,15 @@ def _require_normal(s: Subgroup, role: str) -> None:
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
 
 
-def aut_upper(g: FiniteGroup, x: Subgroup, bound: int | None = None) -> AutSet:
-    """Automorphisms alpha with g^-1 alpha(g) in X for every g
-    (those centralizing G/X)."""
-    _require_normal(x, "upper")
-    return AutSet(g, (Automorphism(t) for t in _search(g, upper=x, bound=bound)), UPPER_X)
-
-
-def aut_lower(g: FiniteGroup, y: Subgroup, bound: int | None = None) -> AutSet:
-    """Automorphisms fixing Y elementwise."""
-    _require_normal(y, "lower")
-    return AutSet(g, (Automorphism(t) for t in _search(g, fixed=y, bound=bound)), LOWER_Y)
-
-
 def aut_upper_lower(
     g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None
 ) -> AutSet:
-    """Intersection of the two constraints, searched directly."""
+    """Aut^X_Y(G): automorphisms alpha with g^-1 alpha(g) in X for every
+    g (those centralizing G/X) that fix Y elementwise, searched directly."""
     _require_normal(x, "upper")
     _require_normal(y, "lower")
-    return AutSet(
-        g,
-        (Automorphism(t) for t in _search(g, fixed=y, upper=x, bound=bound)),
-        UPPER_LOWER_XY,
-    )
+    _check_bound(g, bound)
+    return AutSet(g, (Automorphism(t) for t in _search(g, x, y)), UPPER_LOWER_XY)
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
@@ -391,43 +353,25 @@ def hom_automorphism_pairs(
     basis = a.abelian_basis()
 
     # coordinates of every abelianized-quotient element in that basis
-    coords = {0: (0,) * len(basis)}
-    for i, (b, o) in enumerate(basis):
-        new = []
-        for elem, vec in coords.items():
-            cur = elem
-            for k in range(1, o):
-                cur = a.mul(cur, b)
-                v = vec[:i] + (k,) + vec[i + 1:]
-                new.append((cur, v))
-        for elem, v in new:
-            coords.setdefault(elem, v)
+    coords = {}
+    for vec in iproduct(*(range(o) for _, o in basis)):
+        elem = 0
+        for (b, _), k in zip(basis, vec):
+            elem = a.mul(elem, a.power(b, k))
+        coords[elem] = vec
     if len(coords) != a.n:
         raise InvariantError(f"basis coordinates reach {len(coords)} of {a.n} elements")
 
     to_ab = [qab.projection[q.projection[gg]] for gg in range(g.n)]
     orders = g.element_orders()
-    pow_cache: dict[int, list[int]] = {}
-
-    def powers(e: int, upto: int) -> list[int]:
-        if e not in pow_cache:
-            pow_cache[e] = [0]
-        ps = pow_cache[e]
-        while len(ps) <= upto:
-            ps.append(g.mul(ps[-1], e))
-        return ps
-
-    cand_lists = [
-        sorted(e for e in x.sorted_members if o % orders[e] == 0) for _, o in basis
-    ]
+    cand_lists = [[e for e in x.sorted_members if o % orders[e] == 0] for _, o in basis]
     pairs: list[tuple[tuple[int, ...], Automorphism]] = []
     for choice in iproduct(*cand_lists):
         f_val = {}
         for elem, vec in coords.items():
             v = 0
             for e, k in zip(choice, vec):
-                if k:
-                    v = g.mul(v, powers(e, k)[k])
+                v = g.mul(v, g.power(e, k))
             f_val[elem] = v
         images = tuple(g.mul(gg, f_val[to_ab[gg]]) for gg in range(g.n))
         pairs.append((tuple(choice), Automorphism(images)))

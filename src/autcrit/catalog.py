@@ -124,17 +124,6 @@ def heisenberg_group(p: int) -> FiniteGroup:
     return _table_from(elems, mul)
 
 
-def extraspecial_group(p: int, exponent: int) -> FiniteGroup:
-    """Extraspecial group of order p^3 for odd p, selected by exponent."""
-    if p == 2:
-        raise ValueError("for p = 2 use dihedral 8 or quaternion 8")
-    if exponent == p:
-        return heisenberg_group(p)
-    if exponent == p * p:
-        return modular_group(p**3)
-    raise ValueError(f"extraspecial exponent must be {p} or {p * p}")
-
-
 def wreath_group(p: int) -> FiniteGroup:
     """C_p wr C_p acting on p^2 points (maximal class for p odd)."""
     return FiniteGroup.from_permutation_generators(_wreath_gens(p))
@@ -216,7 +205,6 @@ def _parse_expr(tokens):
         "modular": lambda: modular_group(args[0]),
         "metacyclic": lambda: metacyclic_group(args[0], args[1], args[2]),
         "heisenberg": lambda: heisenberg_group(args[0]),
-        "extraspecial": lambda: extraspecial_group(args[0], args[1]),
         "wreath": lambda: wreath_group(args[0]),
         "pauli_type_16": pauli_type_16,
     }

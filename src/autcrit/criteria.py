@@ -93,15 +93,6 @@ def _require_nonabelian_p_group(g: FiniteGroup) -> int:
     return pp[0]
 
 
-def _subgroup_part(g: FiniteGroup, s: Subgroup, p: int) -> PPartition:
-    key = ("subgroup_part", s.members)
-
-    def compute():
-        return s.partition(p)
-
-    return g._memo(key, compute)
-
-
 def _mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
     """Partition of G / (G' N); the quotient is abelian by construction."""
     key = ("mod_derived_part", n.members)
@@ -113,12 +104,7 @@ def _mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
 
 
 def _quotient_part(g: FiniteGroup, kernel: Subgroup, p: int) -> PPartition:
-    key = ("quotient_part", kernel.members)
-
-    def compute():
-        return g.quotient(kernel).group.abelian_partition(p)
-
-    return g._memo(key, compute)
+    return g.quotient(kernel).group.abelian_partition(p)
 
 
 def _check_cor_2_3_hypotheses(g, m1, n1, m2, n2) -> None:
@@ -152,8 +138,8 @@ def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
     _check_cor_2_3_hypotheses(g, m1, n1, m2, n2)
     q1 = _mod_derived_part(g, n1, p)
     q2 = _mod_derived_part(g, n2, p)
-    mp1 = _subgroup_part(g, m1, p)
-    mp2 = _subgroup_part(g, m2, p)
+    mp1 = m1.partition(p)
+    mp2 = m2.partition(p)
     evidence = {
         "G/G'N1": str(q1), "G/G'N2": str(q2), "M1": str(mp1), "M2": str(mp2),
     }
@@ -211,8 +197,8 @@ def cor_2_5(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
     d = g.derived_subgroup()
     qn = _mod_derived_part(g, n, p)
     q0 = _quotient_part(g, d, p)
-    mp = _subgroup_part(g, m, p)
-    zp = _subgroup_part(g, z, p)
+    mp = m.partition(p)
+    zp = z.partition(p)
     evidence = {"G/G'N": str(qn), "G/G'": str(q0), "M": str(mp), "Z": str(zp)}
     if m.members == z.members:
         # N <= G' is exactly the identical-quotient branch of the decision
@@ -247,7 +233,7 @@ def cor_2_7(g: FiniteGroup) -> CriterionVerdict:
     d = g.derived_subgroup()
     qz = _mod_derived_part(g, z, p)
     q0 = _quotient_part(g, d, p)
-    zp = _subgroup_part(g, z, p)
+    zp = z.partition(p)
     sub = decide_hom_equal_sources(qz, q0, zp)
     evidence = {"G/G'Z": str(qz), "G/G'": str(q0), "Z": str(zp), "detail": sub.detail}
     if not sub.equal:
@@ -266,7 +252,7 @@ def cor_2_8(g: FiniteGroup) -> CriterionVerdict:
     d = g.derived_subgroup()
     qz = _quotient_part(g, z, p)
     q0 = _quotient_part(g, d, p)
-    dp = _subgroup_part(g, d, p)
+    dp = d.partition(p)
     sub = decide_hom_equal_sources(qz, q0, dp)
     evidence = {"G/Z": str(qz), "G/G'": str(q0), "G'": str(dp), "detail": sub.detail}
     if not sub.equal:
@@ -285,8 +271,8 @@ def cor_2_9(g: FiniteGroup) -> CriterionVerdict:
         return CriterionVerdict(
             COR_2_9, False, NONE, {"class": "G' is not central (class > 2)"}
         )
-    dp = _subgroup_part(g, d, p)
-    zp = _subgroup_part(g, z, p)
+    dp = d.partition(p)
+    zp = z.partition(p)
     qz = _quotient_part(g, z, p)
     sub = decide_hom_equal_targets(qz, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "detail": sub.detail}
@@ -309,8 +295,8 @@ def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
         )
     if d.members == z.members:
         return CriterionVerdict(COR_2_10, True, DEGENERATE_EQUALITY, {"G'": "Z(G)"})
-    dp = _subgroup_part(g, d, p)
-    zp = _subgroup_part(g, z, p)
+    dp = d.partition(p)
+    zp = z.partition(p)
     qz = _quotient_part(g, z, p)
     q0 = _quotient_part(g, d, p)
     evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "G/G'": str(q0)}
@@ -342,8 +328,8 @@ def thm_2_12(g: FiniteGroup) -> CriterionVerdict:
         return CriterionVerdict(
             THM_2_12, False, NONE, {"class": "G' is not central (class > 2)"}
         )
-    dp = _subgroup_part(g, d, p)
-    zp = _subgroup_part(g, z, p)
+    dp = d.partition(p)
+    zp = z.partition(p)
     q0 = _quotient_part(g, d, p)
     sub = decide_hom_equal_targets(q0, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/G'": str(q0), "detail": sub.detail}
@@ -359,8 +345,8 @@ def lemma_2_11_check(g: FiniteGroup) -> bool:
     p = _require_nonabelian_p_group(g)
     if g.nilpotence_class() != 2:
         raise HypothesisViolationError("stated for nilpotence class 2")
-    dp = _subgroup_part(g, g.derived_subgroup(), p)
-    zp = _subgroup_part(g, g.center(), p)
+    dp = g.derived_subgroup().partition(p)
+    zp = g.center().partition(p)
     if rank(dp) != rank(zp):
         raise HypothesisViolationError(
             f"d(G') = {rank(dp)} differs from d(Z(G)) = {rank(zp)}"
@@ -374,5 +360,5 @@ def adney_yen_check(g: FiniteGroup) -> bool:
     if not g.is_purely_nonabelian()[0]:
         raise HypothesisViolationError("stated for purely non-abelian groups")
     q0 = _quotient_part(g, g.derived_subgroup(), p)
-    zp = _subgroup_part(g, g.center(), p)
+    zp = g.center().partition(p)
     return len(distinguished(g, CENTRAL)) == hom_order(q0, zp)

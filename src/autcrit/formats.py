@@ -1,10 +1,11 @@
 """Text formats: disjoint-cycle notation and the two group file formats.
 
 Cayley files: a ``cayley n`` header line, then n rows of n 0-based
-indices; element 0 must be the identity.  Permutation files: a ``perm d``
-header, then one generator per line in disjoint-cycle notation over
-1..d, e.g. ``(1 2 3 4)(5 6)``; fixed points are omitted and ``()`` is
-the identity.  A header size above the ingest bound is refused unread.
+indices; the identity may be any element and is swapped to index 0.
+Permutation files: a ``perm d`` header, then one generator per line in
+disjoint-cycle notation over 1..d, e.g. ``(1 2 3 4)(5 6)``; fixed points
+are omitted and ``()`` is the identity.  A header size above the ingest
+bound is refused unread.
 """
 
 from __future__ import annotations

@@ -371,43 +371,33 @@ class FiniteGroup:
         The count at k is p ** sum_i min(k, lambda_i); successive
         log-differences give the conjugate partition.
         """
-        if not self.is_abelian():
-            raise NotAbelianError("abelian_partition needs an abelian group")
-        pp = self.prime_power()
-        if pp is None:
-            if p is None:
-                raise NotPGroupError("trivial group: supply the ambient prime")
-            return PPartition(p, ())
-        q, m = pp
-        if p is not None and p != q:
-            raise NotPGroupError(f"group has order {q}**{m}, not a {p}-group")
-        orders = self.element_orders()
-        logs = {}
-        for o in orders:
-            k = 0
-            while q**k < o:
-                k += 1
-            logs[k] = logs.get(k, 0) + 1
-        conj = []
-        cum = 0
-        prev = 0
-        for k in range(0, m + 1):
-            cum += logs.get(k, 0)
-            s = 0
-            c = cum
-            while q**s < c:
-                s += 1
-            if k > 0:
-                conj.append(s - prev)
-            prev = s
-        exps = tuple(
-            sorted((sum(1 for d in conj if d >= i) for i in range(1, max(conj, default=0) + 1)),
-                   reverse=True)
-        )
-        part = PPartition(q, exps)
-        if part.order != self.n:
-            raise InvariantError(f"partition {part} does not have order {self.n}")
-        return part
+        def compute():
+            if not self.is_abelian():
+                raise NotAbelianError("abelian_partition needs an abelian group")
+            pp = self.prime_power()
+            if pp is None:
+                if p is None:
+                    raise NotPGroupError("trivial group: supply the ambient prime")
+                return PPartition(p, ())
+            q, m = pp
+            if p is not None and p != q:
+                raise NotPGroupError(f"group has order {q}**{m}, not a {p}-group")
+            orders = self.element_orders()
+            logs = []  # log_q of the number of elements of order <= q**k
+            for k in range(m + 1):
+                count = sum(1 for o in orders if o <= q**k)
+                s = 0
+                while q**s < count:
+                    s += 1
+                logs.append(s)
+            conj = [logs[k] - logs[k - 1] for k in range(1, m + 1)]
+            exps = tuple(sum(1 for d in conj if d >= i) for i in range(1, max(conj) + 1))
+            part = PPartition(q, exps)
+            if part.order != self.n:
+                raise InvariantError(f"partition {part} does not have order {self.n}")
+            return part
+
+        return self._memo(("partition", p), compute)
 
     def abelian_basis(self) -> list[tuple[int, int]]:
         """Independent cyclic generators of an abelian p-group, as

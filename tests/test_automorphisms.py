@@ -1,14 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autcrit.abelian import hom_order
 from autcrit.automorphisms import (
+    Automorphism,
     C_STAR,
     CENTRAL,
     IA,
     IA_STAR,
     aut_bound,
-    aut_lower,
-    aut_upper,
     aut_upper_lower,
     automorphism_group,
     autset_equal,
@@ -25,6 +26,7 @@ from autcrit.catalog import (
     get_spec,
     quaternion_group,
 )
+from autcrit.groups import FiniteGroup
 from autcrit.errors import (
     ConfigError,
     HypothesisViolationError,
@@ -118,18 +120,20 @@ class TestInner:
 
 class TestConstrainedSearches:
     def test_upper_extremes(self, q8):
-        assert autset_equal(aut_upper(q8, q8.full_subgroup()), automorphism_group(q8))
-        assert len(aut_upper(q8, q8.trivial_subgroup())) == 1
+        one = q8.trivial_subgroup()
+        assert autset_equal(aut_upper_lower(q8, q8.full_subgroup(), one), automorphism_group(q8))
+        assert len(aut_upper_lower(q8, one, one)) == 1
 
     def test_upper_center_q8(self, q8):
-        assert len(aut_upper(q8, q8.center())) == 4
+        assert len(aut_upper_lower(q8, q8.center(), q8.trivial_subgroup())) == 4
 
     def test_lower_extremes(self, q8):
-        assert autset_equal(aut_lower(q8, q8.trivial_subgroup()), automorphism_group(q8))
-        assert len(aut_lower(q8, q8.full_subgroup())) == 1
+        full, one = q8.full_subgroup(), q8.trivial_subgroup()
+        assert autset_equal(aut_upper_lower(q8, full, one), automorphism_group(q8))
+        assert len(aut_upper_lower(q8, full, full)) == 1
 
     def test_lower_center_d8(self, d8):
-        assert len(aut_lower(d8, d8.center())) == 8
+        assert len(aut_upper_lower(d8, d8.full_subgroup(), d8.center())) == 8
 
     def test_upper_lower(self, q8):
         assert len(aut_upper_lower(q8, q8.center(), q8.center())) == 4
@@ -141,11 +145,12 @@ class TestConstrainedSearches:
     def test_monotone(self, d8):
         z = d8.center()
         full = d8.full_subgroup()
-        up_small = aut_upper(d8, z)
-        up_big = aut_upper(d8, full)
+        one = d8.trivial_subgroup()
+        up_small = aut_upper_lower(d8, z, one)
+        up_big = aut_upper_lower(d8, full, one)
         assert up_small.members <= up_big.members
-        low_big = aut_lower(d8, z)
-        low_small = aut_lower(d8, full)
+        low_big = aut_upper_lower(d8, full, z)
+        low_small = aut_upper_lower(d8, full, full)
         assert low_small.members <= low_big.members
 
     def test_monotone_over_central_chains(self):
@@ -154,16 +159,46 @@ class TestConstrainedSearches:
         for name in ("M16", "D8xC2", "M27"):
             g = build_group(get_spec(name))
             subs = center_subgroups(g)
+            one, full = g.trivial_subgroup(), g.full_subgroup()
             for x in subs:
                 for x2 in subs:
                     if not x.members <= x2.members:
                         continue
-                    assert aut_upper(g, x).members <= aut_upper(g, x2).members
-                    assert aut_lower(g, x2).members <= aut_lower(g, x).members
+                    upper_x = aut_upper_lower(g, x, one)
+                    upper_x2 = aut_upper_lower(g, x2, one)
+                    assert upper_x.members <= upper_x2.members
+                    lower_x = aut_upper_lower(g, full, x)
+                    lower_x2 = aut_upper_lower(g, full, x2)
+                    assert lower_x2.members <= lower_x.members
 
     def test_members_are_automorphisms(self, m16):
         s = aut_upper_lower(m16, m16.center(), m16.center())
         assert all(a.verify(m16) for a in s.members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_conjugates_the_search(self, nonabelian_corpus, data):
+        # Renumbering the elements by pi (fixing the identity) must carry
+        # Aut^X_Y(G) to pi Aut^X_Y(G) pi^-1, whatever the numbering.
+        names = sorted(name for name, g in nonabelian_corpus.items() if g.n <= 32)
+        g = nonabelian_corpus[data.draw(st.sampled_from(names))]
+        normals = g.normal_subgroups()
+        x = data.draw(st.sampled_from(normals))
+        y = data.draw(st.sampled_from(normals))
+        pi = [0] + data.draw(st.permutations(range(1, g.n)))
+        inv = [0] * g.n
+        for a, b in enumerate(pi):
+            inv[b] = a
+        h = FiniteGroup([[pi[g.mul(inv[a], inv[b])] for b in range(g.n)] for a in range(g.n)])
+        hx = h.subgroup(pi[e] for e in x.members)
+        hy = h.subgroup(pi[e] for e in y.members)
+        expected = {
+            Automorphism(tuple(pi[alpha(inv[e])] for e in range(g.n)))
+            for alpha in aut_upper_lower(g, x, y).members
+        }
+        found = aut_upper_lower(h, hx, hy)
+        assert found.members == expected
+        assert all(alpha.verify(h) for alpha in found.members)
 
 
 class TestDistinguished:
@@ -192,8 +227,9 @@ class TestDistinguished:
                 continue
             z = g.center()
             d = g.derived_subgroup()
-            assert autset_equal(distinguished(g, CENTRAL), aut_upper(g, z)), name
-            assert autset_equal(distinguished(g, IA), aut_upper(g, d)), name
+            one = g.trivial_subgroup()
+            assert autset_equal(distinguished(g, CENTRAL), aut_upper_lower(g, z, one)), name
+            assert autset_equal(distinguished(g, IA), aut_upper_lower(g, d, one)), name
             assert autset_equal(
                 distinguished(g, C_STAR), aut_upper_lower(g, z, z)
             ), name

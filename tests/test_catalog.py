@@ -176,6 +176,12 @@ class TestFiles:
         write_cayley_file(g, path)
         assert read_group_file(path).table == g.table
 
+    def test_cayley_identity_off_index_0(self):
+        # the identity is found wherever it is and moved to index 0
+        g = parse_group_text("cayley 2\n1 0\n0 1\n")
+        assert g.n == 2
+        assert g.table == ((0, 1), (1, 0))
+
     def test_perm_file_d8(self, tmp_path):
         path = tmp_path / "d8.perm"
         path.write_text("perm 4\n(1 2 3 4)\n(1 3)\n")

@@ -52,6 +52,11 @@ class TestAnalyze:
         path.write_text("cayley 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
         assert cli.main(["analyze", str(path)]) == 0
 
+    def test_path_identity_off_index_0(self, tmp_path, capsys):
+        path = tmp_path / "c2.cayley"
+        path.write_text("cayley 2\n1 0\n0 1\n")
+        assert cli.main(["analyze", str(path)]) == 0
+
     def test_oversize_header(self, tmp_path, capsys):
         path = tmp_path / "big.perm"
         path.write_text(f"perm {DEFAULT_INGEST_BOUND + 1}\n()\n")
