@@ -177,3 +177,24 @@ def is_associative(table):
             if list(table[row_a[b]]) != [row_a[x] for x in row_b]:
                 return False
     return True
+
+
+def permutation_table(gens, degree):
+    """Cayley table of the group generated by permutations (0-based image
+    tuples), by breadth-first closure and then composing every pair of
+    elements: row a, column b holds the index of a(b(x))."""
+    gens = [tuple(g) for g in gens]
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    i = 0
+    while i < len(elems):
+        u = elems[i]
+        i += 1
+        for g in gens:
+            v = tuple(u[g[x]] for x in range(degree))
+            if v not in index:
+                index[v] = len(elems)
+                elems.append(v)
+    return [
+        [index[tuple(a[b[x]] for x in range(degree))] for b in elems] for a in elems
+    ]

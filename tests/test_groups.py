@@ -2,15 +2,17 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autcrit.abelian import PPartition, partitions_up_to
 from autcrit.catalog import (
     abelian_group,
+    catalog,
     cyclic_group,
     dihedral_group,
     heisenberg_group,
+    permutation_generators,
     quaternion_group,
 )
 from autcrit.errors import (
@@ -25,8 +27,13 @@ from autcrit.errors import (
     NotPGroupError,
     OrderBoundExceededError,
 )
-from autcrit.groups import FiniteGroup, direct_product, subgroup_product
-from oracles import is_associative, min_generating_size, unpruned_direct_factor
+from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
+from oracles import (
+    is_associative,
+    min_generating_size,
+    permutation_table,
+    unpruned_direct_factor,
+)
 
 # Latin square with identity 0 that fails associativity: (1*1)*2 != 1*(1*2)
 NONASSOC_5 = [
@@ -155,6 +162,34 @@ class TestFromPermutations:
                 [tuple(list(range(1, 12)) + [0])], bound=10
             )
 
+    def test_order_bound_edge(self):
+        # the bound is the largest order allowed, checked during the closure
+        cycle = [tuple(list(range(1, 12)) + [0])]
+        assert FiniteGroup.from_permutation_generators(cycle, bound=12).n == 12
+        with pytest.raises(OrderBoundExceededError):
+            FiniteGroup.from_permutation_generators(cycle, bound=11)
+
+    def test_catalog_tables_match_oracle(self):
+        for spec in catalog():
+            gens = permutation_generators(spec)
+            degree = len(gens[0]) if gens else 1
+            g = FiniteGroup.from_permutation_generators(gens, degree=degree)
+            expected = permutation_table(gens, degree)
+            assert g.table == tuple(map(tuple, expected)), spec.name
+
+    # degree stays <= 5: the pairwise oracle needs minutes on S7
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+    @example((3, []))
+    @example((4, [(0, 1, 2, 3)]))
+    @example((4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 2, 3)]))
+    @example((5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))
+    def test_random_generators_match_oracle(self, case):
+        degree, gens = case
+        g = FiniteGroup.from_permutation_generators(gens, degree=degree)
+        assert g.table == tuple(map(tuple, permutation_table(gens, degree)))
+
 
 class TestCenterDerived:
     def test_center_q8_d8(self):
@@ -241,8 +276,20 @@ class TestQuotient:
             for x in range(g.n)
             if g.element_order(x) == 2 and x not in g.center()
         )
-        with pytest.raises(NotNormalError):
-            g.quotient(g.subgroup({0, refl}))
+        # a failed check is never cached, so a second call raises too
+        for _ in range(2):
+            with pytest.raises(NotNormalError):
+                g.quotient(g.subgroup({0, refl}))
+
+    def test_memo_hit_skips_normality_check(self, monkeypatch):
+        g = dihedral_group(8)
+        q = g.quotient(g.center())
+
+        def no_recheck(self):
+            raise AssertionError("normality rechecked on a memo hit")
+
+        monkeypatch.setattr(Subgroup, "is_normal", no_recheck)
+        assert g.quotient(g.subgroup(g.center().members)) is q
 
     @pytest.mark.parametrize("build", [
         "from autcrit.catalog import dihedral_group\n"
