@@ -8,6 +8,13 @@ subgroup generated so far, checking multiplicativity and injectivity as
 the closure grows, so every completed assignment is a verified
 automorphism by construction.
 
+The result is a group, so the search does not visit each member.  At
+level d it looks, for every candidate image of the d-th generator, for
+one completed assignment that fixes the earlier generators (a
+stabiliser-chain transversal, by orbit-stabiliser); every member is then
+a product of one representative per level, and the number of members is
+the product of the transversal sizes.
+
 Every constrained question is one search for Aut^X_Y(G), the
 automorphisms alpha with g^-1 alpha(g) in X for every g that also fix Y
 pointwise, for normal X and Y: ``aut_upper_lower(G, X, Y)`` seeds the
@@ -29,6 +36,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,7 +89,7 @@ def _check_bound(g: FiniteGroup, bound: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """A group automorphism stored as the full image array."""
 
@@ -164,10 +173,14 @@ def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
     return g._memo("aut_fingerprints", compute)
 
 
-def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[tuple[int, ...]]:
-    """Backtracking core; returns sorted image tuples of all
-    automorphisms fixing ``fixed`` pointwise with generator images in
-    their ``upper`` cosets."""
+def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[Automorphism]:
+    """All automorphisms fixing ``fixed`` pointwise with generator images
+    in their ``upper`` cosets, as an unordered frozenset.
+
+    With A_d the members that also fix gens[:d], A_d is the disjoint union
+    of r * A_(d+1), one r for each image c of gens[d]; each r is the first
+    completed assignment below gens[:d] -> themselves, gens[d] -> c.  The
+    members are then the products of one r per level."""
     n = g.n
     table = g.table
 
@@ -189,7 +202,6 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[tuple[int,
         pools.append([c for c in range(n) if prints[c] == prints[h] and c in coset])
 
     tgens = base_gens + gens  # products are checked against all of these
-    results: list[tuple[int, ...]] = []
 
     def extend(img, used, elems, depth, cand):
         """Assign gens[depth] -> cand and close; returns new state or None."""
@@ -239,20 +251,61 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[tuple[int,
                     return None
         return img2, used2, elems2
 
-    def dfs(img, used, elems, depth):
+    def first(img, used, elems, depth):
+        """Image tuple of the first completed assignment below this state."""
         if depth == len(gens):
             if len(elems) != n:
                 raise InvariantError(f"generator images reach {len(elems)} of {n} elements")
-            results.append(tuple(img))
-            return
+            return tuple(img)
         for cand in pools[depth]:
             state = extend(img, used, elems, depth, cand)
             if state is not None:
-                dfs(state[0], state[1], state[2], depth + 1)
+                found = first(*state, depth + 1)
+                if found is not None:
+                    return found
+        return None
 
-    dfs(img0, used0, base_members[:], 0)
-    results.sort()
-    return results
+    transversals = []
+    state = (img0, used0, base_members[:])
+    for depth, h in enumerate(gens):
+        reps = [tuple(range(n))]  # the identity is the representative for h
+        for cand in pools[depth]:
+            if cand == h:
+                continue
+            below = extend(*state, depth, cand)
+            if below is not None:
+                rep = first(*below, depth + 1)
+                if rep is not None:
+                    reps.append(rep)
+        transversals.append(reps)
+        state = extend(*state, depth, h)
+    return compose_transversals(n, transversals)
+
+
+def _through(partial, reps):
+    """Lazily p * r (p after r) for every p in ``partial`` and r in
+    ``reps``; itemgetter(*r)(p) builds each tuple at its exact size."""
+    getters = [itemgetter(*r) for r in reps]
+    return (get(p) for p in partial for get in getters)
+
+
+def compose_transversals(n: int, transversals) -> frozenset[Automorphism]:
+    """Every product r_0 * r_1 * ... of one image tuple per transversal.
+
+    The products are chained generators, so no level's partial products
+    are held as a list.  Distinct cosets give distinct products, so a set
+    smaller than the product of the transversal sizes means a repeated
+    representative, which the set would otherwise merge silently."""
+    partial = [tuple(range(n))]
+    for reps in transversals:
+        partial = _through(partial, reps)
+    members = frozenset(map(Automorphism, partial))
+    expected = prod(len(reps) for reps in transversals)
+    if len(members) != expected:
+        raise InvariantError(
+            f"{len(members)} automorphisms from transversals of product size {expected}"
+        )
+    return members
 
 
 def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
@@ -260,8 +313,7 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
     _check_bound(g, bound)
 
     def compute():
-        found = _search(g, g.full_subgroup(), g.trivial_subgroup())
-        return AutSet(g, (Automorphism(t) for t in found), FULL)
+        return AutSet(g, _search(g, g.full_subgroup(), g.trivial_subgroup()), FULL)
 
     return g._memo("aut_full", compute)
 
@@ -294,7 +346,7 @@ def aut_upper_lower(
     _require_normal(x, "upper")
     _require_normal(y, "lower")
     _check_bound(g, bound)
-    return AutSet(g, (Automorphism(t) for t in _search(g, x, y)), UPPER_LOWER_XY)
+    return AutSet(g, _search(g, x, y), UPPER_LOWER_XY)
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class FiniteGroup:
     __slots__ = ("n", "table", "_inv", "_cache")
 
     def __init__(self, table):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         self.n = len(rows)
         self.table = rows
         self._cache: dict = {}
@@ -676,7 +677,8 @@ def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
     Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x, y
     are closed under the product, so checking a generating set is enough.
     Before associativity is known, "generates" must mean closure under the
-    raw binary product (all bracketings), grown by full pairwise products."""
+    raw binary product (all bracketings), grown semi-naively: each round
+    forms only the products that involve an element the last round added."""
     n = len(rows)
     if n == 0:
         raise NoIdentityError("empty table")
@@ -694,11 +696,15 @@ def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
     while len(closure) < n:
         gens.append(min(x for x in range(n) if x not in closure))
         closure.add(gens[-1])
-        while True:
-            prods = {rows[a][b] for a in closure for b in closure}
-            if prods <= closure:
-                break
-            closure |= prods
+        fresh = [gens[-1]]
+        while fresh:
+            prods = set()
+            by_closure = itemgetter(*closure)  # closure holds 0 and gens[-1]
+            for a in fresh:
+                prods.update(by_closure(rows[a]))
+                prods.update(rows[b][a] for b in closure)
+            fresh = prods - closure
+            closure |= fresh
     for g in gens:
         if not np.array_equal(arr[arr[:, g], :], arr[:, arr[g, :]]):
             raise NotAssociativeError(f"associativity fails through generator {g}")

@@ -9,6 +9,9 @@ over multiplication tables.
 from itertools import combinations, product
 from math import gcd
 
+from autcrit.automorphisms import _fingerprints
+from autcrit.errors import InvariantError
+
 
 def tuple_elements(p, exps):
     """All elements of Z_{p^e1} x ... x Z_{p^ek} as tuples."""
@@ -198,3 +201,96 @@ def permutation_table(gens, degree):
     return [
         [index[tuple(a[b[x]] for x in range(degree))] for b in elems] for a in elems
     ]
+
+
+def all_automorphisms(g, upper, fixed):
+    """Sorted image tuples of Aut^upper_fixed(G), every member reached as
+    its own leaf of a backtracking search over generator images.
+
+    It shares the library's generating sequence and fingerprint pools but
+    not its enumeration: nothing here relies on the result being a group."""
+    n = g.n
+    table = g.table
+
+    # Seed with the identity on the fixed subgroup, then extend the seed's
+    # generators to a generating sequence of all of G.
+    base_members = list(fixed.sorted_members)
+    base_gens = fixed.generators()
+    gens = g.generating_sequence(fixed.members)
+    img0 = [-1] * n
+    used0 = bytearray(n)
+    for y in base_members:
+        img0[y] = y
+        used0[y] = 1
+
+    prints = _fingerprints(g)
+    pools: list[list[int]] = []
+    for h in gens:
+        coset = {table[h][x] for x in upper.members}
+        pools.append([c for c in range(n) if prints[c] == prints[h] and c in coset])
+
+    tgens = base_gens + gens  # products are checked against all of these
+    results: list[tuple[int, ...]] = []
+
+    def extend(img, used, elems, depth, cand):
+        """Assign gens[depth] -> cand and close; returns new state or None."""
+        h = gens[depth]
+        img2 = img[:]
+        used2 = bytearray(used)
+        elems2 = elems[:]
+        if used2[cand]:
+            return None
+        img2[h] = cand
+        used2[cand] = 1
+        elems2.append(h)
+        active = tgens[: len(base_gens) + depth + 1]
+        queue = [h]
+        # products of old elements with the new generator
+        for x in elems:
+            v = table[x][h]
+            w = table[img2[x]][cand]
+            iv = img2[v]
+            if iv == -1:
+                if used2[w]:
+                    return None
+                img2[v] = w
+                used2[w] = 1
+                elems2.append(v)
+                queue.append(v)
+            elif iv != w:
+                return None
+        # close the new elements against every active generator
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            iu = img2[u]
+            for t in active:
+                v = table[u][t]
+                w = table[iu][img2[t]]
+                iv = img2[v]
+                if iv == -1:
+                    if used2[w]:
+                        return None
+                    img2[v] = w
+                    used2[w] = 1
+                    elems2.append(v)
+                    queue.append(v)
+                elif iv != w:
+                    return None
+        return img2, used2, elems2
+
+    def dfs(img, used, elems, depth):
+        if depth == len(gens):
+            if len(elems) != n:
+                raise InvariantError(f"generator images reach {len(elems)} of {n} elements")
+            results.append(tuple(img))
+            return
+        for cand in pools[depth]:
+            state = extend(img, used, elems, depth, cand)
+            if state is not None:
+                dfs(state[0], state[1], state[2], depth + 1)
+
+    dfs(img0, used0, base_members[:], 0)
+    results.sort()
+    return results

@@ -7,20 +7,24 @@ from autcrit.automorphisms import (
     Automorphism,
     C_STAR,
     CENTRAL,
+    DEFAULT_AUT_BOUND,
     IA,
     IA_STAR,
     aut_bound,
     aut_upper_lower,
     automorphism_group,
     autset_equal,
+    compose_transversals,
     distinguished,
     hom_automorphism_pairs,
     hom_construct_auts,
     inner_automorphisms,
 )
 from autcrit.catalog import (
+    GroupSpec,
     abelian_group,
     build_group,
+    catalog,
     cyclic_group,
     dihedral_group,
     get_spec,
@@ -30,9 +34,11 @@ from autcrit.groups import FiniteGroup
 from autcrit.errors import (
     ConfigError,
     HypothesisViolationError,
+    InvariantError,
     OrderBoundExceededError,
     ParentMismatchError,
 )
+from oracles import all_automorphisms
 
 
 @pytest.fixture(scope="module")
@@ -327,3 +333,54 @@ class TestCorpusAutSets:
             assert all(a.verify(g) for a in full.members), name
             if len(full) <= 512:
                 assert full.verify_closed(), name
+
+
+def _images(autset):
+    return {a.images for a in autset.members}
+
+
+class TestTransversalSearch:
+    """The search builds each set from one representative per orbit point
+    and level; the all-leaves backtracking oracle reaches every member."""
+
+    # |GL(5, 2)| = 9,999,360 and |GL(4, 3)| = 24,261,120 members are too
+    # many to enumerate in a test, by either search
+    TOO_LARGE = ("C2xC2xC2xC2xC2", "C3xC3xC3xC3")
+
+    def test_full_aut_of_catalog_matches_oracle(self, corpus):
+        for name, (spec, g) in sorted(corpus.items()):
+            if g.n > DEFAULT_AUT_BOUND or name in self.TOO_LARGE:
+                continue
+            one, full = g.trivial_subgroup(), g.full_subgroup()
+            assert _images(automorphism_group(g)) == set(all_automorphisms(g, full, one)), name
+
+    def test_every_normal_pair_matches_oracle(self, nonabelian_corpus):
+        for name, g in sorted(nonabelian_corpus.items()):
+            if g.n > 32:
+                continue
+            normals = g.normal_subgroups()
+            for x in normals:
+                for y in normals:
+                    expected = set(all_automorphisms(g, x, y))
+                    assert _images(aut_upper_lower(g, x, y)) == expected, (name, x.order, y.order)
+
+    def test_stress_groups(self):
+        q = build_group(GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"), fresh=True)
+        he = build_group(GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)"), fresh=True)
+        full_q = automorphism_group(q)
+        assert len(full_q) == 12288
+        assert len(automorphism_group(he)) == 23328
+        one = q.trivial_subgroup()
+        assert _images(full_q) == set(all_automorphisms(q, q.full_subgroup(), one))
+
+    def test_products_of_transversals(self):
+        # r0 * r1 is r0 after r1: with a = (1 2) and b = (2 3), a * b is
+        # the 3-cycle 1 -> 2 -> 3 -> 1, not b * a
+        ident, a, b = (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
+        built = compose_transversals(4, [[ident, a], [ident, b]])
+        assert {x.images for x in built} == {ident, a, b, (0, 2, 3, 1)}
+        assert compose_transversals(1, []) == {Automorphism((0,))}
+
+    def test_repeated_representative_raises(self):
+        with pytest.raises(InvariantError):
+            compose_transversals(3, [[(0, 1, 2), (0, 2, 1), (0, 2, 1)]])

@@ -300,7 +300,9 @@ class TestQuotient:
         "CriterionVerdict('COR_2_6', True, 'NONE')\n",
         "from autcrit.abelian import HomVerdict\n"
         "HomVerdict(True, 'UNEQUAL')\n",
-    ], ids=["quotient", "criterion_verdict", "hom_verdict"])
+        "from autcrit.automorphisms import compose_transversals\n"
+        "compose_transversals(2, [[(0, 1), (0, 1)]])\n",
+    ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
