@@ -52,6 +52,8 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 
 DEFAULT_AUT_BOUND = 128
+# Largest automorphism set built; |Aut(C2^5)| = 9,999,360 is refused.
+DEFAULT_AUT_MEMBER_BOUND = 250_000
 
 FULL = "FULL"
 INN = "INN"
@@ -292,15 +294,20 @@ def _through(partial, reps):
 def compose_transversals(n: int, transversals) -> frozenset[Automorphism]:
     """Every product r_0 * r_1 * ... of one image tuple per transversal.
 
-    The products are chained generators, so no level's partial products
-    are held as a list.  Distinct cosets give distinct products, so a set
-    smaller than the product of the transversal sizes means a repeated
-    representative, which the set would otherwise merge silently."""
+    A set above DEFAULT_AUT_MEMBER_BOUND is refused from the transversal
+    sizes before any member is built.  The products are chained
+    generators, so no level's partial products are held as a list.
+    Distinct cosets give distinct products, so a set smaller than the
+    product of the sizes means a repeated representative, which the set
+    would otherwise merge silently."""
+    expected = prod(len(reps) for reps in transversals)
+    if expected > DEFAULT_AUT_MEMBER_BOUND:
+        raise OrderBoundExceededError(f"{expected} automorphisms exceed member bound "
+                                      f"{DEFAULT_AUT_MEMBER_BOUND}")
     partial = [tuple(range(n))]
     for reps in transversals:
         partial = _through(partial, reps)
     members = frozenset(map(Automorphism, partial))
-    expected = prod(len(reps) for reps in transversals)
     if len(members) != expected:
         raise InvariantError(
             f"{len(members)} automorphisms from transversals of product size {expected}"

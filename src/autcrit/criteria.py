@@ -107,13 +107,27 @@ def _quotient_part(g: FiniteGroup, kernel: Subgroup, p: int) -> PPartition:
     return g.quotient(kernel).group.abelian_partition(p)
 
 
-def _check_cor_2_3_hypotheses(g, m1, n1, m2, n2) -> None:
-    z = g.center()
-    for s, role in ((m1, "M1"), (n1, "N1"), (m2, "M2"), (n2, "N2")):
+def _decided(criterion: str, sub, evidence: dict[str, str]) -> CriterionVerdict:
+    """The single-group verdict from one Hom-equality decision: NONE when
+    unequal, DEGENERATE_EQUALITY on its identical branch, else CASE_II."""
+    if not sub.equal:
+        return CriterionVerdict(criterion, False, NONE, evidence)
+    clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
+    return CriterionVerdict(criterion, True, clause, evidence)
+
+
+def _check_normal_roles(g, roles) -> None:
+    """Each (subgroup, role) must be a normal subgroup of g."""
+    for s, role in roles:
         if s.parent is not g:
             raise HypothesisViolationError(f"{role} belongs to a different group")
         if not s.is_normal():
             raise HypothesisViolationError(f"{role} is not normal")
+
+
+def _check_cor_2_3_hypotheses(g, m1, n1, m2, n2) -> None:
+    z = g.center()
+    _check_normal_roles(g, ((m1, "M1"), (n1, "N1"), (m2, "M2"), (n2, "N2")))
     for m, n, i in ((m1, n1, 1), (m2, n2, 2)):
         if not (m.members <= z.members and m.members <= n.members):
             raise HypothesisViolationError(f"M{i} is not contained in Z(G) and N{i}")
@@ -158,11 +172,7 @@ def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
 
 def _check_m_z_n(g, m, n) -> Subgroup:
     z = g.center()
-    for s, role in ((m, "M"), (n, "N")):
-        if s.parent is not g:
-            raise HypothesisViolationError(f"{role} belongs to a different group")
-        if not s.is_normal():
-            raise HypothesisViolationError(f"{role} is not normal")
+    _check_normal_roles(g, ((m, "M"), (n, "N")))
     if not (m.members <= z.members and z.members <= n.members):
         raise HypothesisViolationError("need M <= Z(G) <= N")
     return z
@@ -236,10 +246,7 @@ def cor_2_7(g: FiniteGroup) -> CriterionVerdict:
     zp = z.partition(p)
     sub = decide_hom_equal_sources(qz, q0, zp)
     evidence = {"G/G'Z": str(qz), "G/G'": str(q0), "Z": str(zp), "detail": sub.detail}
-    if not sub.equal:
-        return CriterionVerdict(COR_2_7, False, NONE, evidence)
-    clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
-    return CriterionVerdict(COR_2_7, True, clause, evidence)
+    return _decided(COR_2_7, sub, evidence)
 
 
 def cor_2_8(g: FiniteGroup) -> CriterionVerdict:
@@ -255,10 +262,7 @@ def cor_2_8(g: FiniteGroup) -> CriterionVerdict:
     dp = d.partition(p)
     sub = decide_hom_equal_sources(qz, q0, dp)
     evidence = {"G/Z": str(qz), "G/G'": str(q0), "G'": str(dp), "detail": sub.detail}
-    if not sub.equal:
-        return CriterionVerdict(COR_2_8, False, NONE, evidence)
-    clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
-    return CriterionVerdict(COR_2_8, True, clause, evidence)
+    return _decided(COR_2_8, sub, evidence)
 
 
 def cor_2_9(g: FiniteGroup) -> CriterionVerdict:
@@ -276,10 +280,7 @@ def cor_2_9(g: FiniteGroup) -> CriterionVerdict:
     qz = _quotient_part(g, z, p)
     sub = decide_hom_equal_targets(qz, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "detail": sub.detail}
-    if not sub.equal:
-        return CriterionVerdict(COR_2_9, False, NONE, evidence)
-    clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
-    return CriterionVerdict(COR_2_9, True, clause, evidence)
+    return _decided(COR_2_9, sub, evidence)
 
 
 def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
@@ -333,10 +334,7 @@ def thm_2_12(g: FiniteGroup) -> CriterionVerdict:
     q0 = _quotient_part(g, d, p)
     sub = decide_hom_equal_targets(q0, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/G'": str(q0), "detail": sub.detail}
-    if not sub.equal:
-        return CriterionVerdict(THM_2_12, False, NONE, evidence)
-    clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
-    return CriterionVerdict(THM_2_12, True, clause, evidence)
+    return _decided(THM_2_12, sub, evidence)
 
 
 def lemma_2_11_check(g: FiniteGroup) -> bool:

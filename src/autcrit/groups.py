@@ -5,9 +5,9 @@ work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
 Light's test on a generating set; everything structural (center, derived
-subgroup, quotients, subgroup lattice, abelian invariants) is computed by
-direct scans and closures over the table.  Permutation generators are
-turned into a table through the Cayley graph of their closure.
+subgroup, quotients, normal subgroups as closures of conjugacy classes,
+abelian invariants) is computed by direct scans and closures over the
+table.  Permutation generators become a table through their Cayley graph.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -97,9 +97,7 @@ class FiniteGroup:
         return cls(rows)
 
     @classmethod
-    def from_permutation_generators(
-        cls, gens, degree: int | None = None, bound: int = DEFAULT_INGEST_BOUND
-    ) -> "FiniteGroup":
+    def from_permutation_generators(cls, gens, degree: int | None = None) -> "FiniteGroup":
         """Close a set of permutations (0-based image tuples) under
         composition and return the resulting group.
 
@@ -110,8 +108,8 @@ class FiniteGroup:
         g_k's map.  Cost O(n*|gens|*degree + n**2), not O(n**2*degree).
 
         The empty generator list gives the trivial group (degree may be
-        supplied to fix the domain, otherwise 1 is used).
-        """
+        supplied to fix the domain, otherwise 1 is used).  A closure
+        past DEFAULT_INGEST_BOUND raises OrderBoundExceededError."""
         gens = [tuple(g) for g in gens]
         if degree is None:
             degree = len(gens[0]) if gens else 1
@@ -130,8 +128,9 @@ class FiniteGroup:
                 v = tuple(map(u.__getitem__, g))
                 j = index.get(v)
                 if j is None:
-                    if len(elems) >= bound:
-                        raise OrderBoundExceededError(f"closure exceeds bound {bound}")
+                    if len(elems) >= DEFAULT_INGEST_BOUND:
+                        raise OrderBoundExceededError(
+                            f"closure exceeds bound {DEFAULT_INGEST_BOUND}")
                     j = index[v] = len(elems)
                     elems.append(v)
                     edge.append((i, k))
@@ -481,12 +480,12 @@ class FiniteGroup:
             zg, zmap = z.as_group()
             dquot = self.quotient(self.derived_subgroup())
             comp_cands = []
-            for s in dquot.group.all_subgroups():
+            for s in dquot.group.normal_subgroups():
                 members = frozenset(
                     x for x in range(self.n) if dquot.projection[x] in s.members
                 )
                 comp_cands.append(Subgroup(self, members))
-            for a_small in zg.all_subgroups():
+            for a_small in zg.normal_subgroups():
                 if a_small.order == 1:
                     continue
                 a = Subgroup(self, frozenset(zmap[i] for i in a_small.members))
@@ -497,44 +496,39 @@ class FiniteGroup:
 
         return self._memo("purely_nonabelian", compute)
 
-    def _check_subgroup_bound(self, bound: int) -> None:
+    def normal_subgroups(self) -> list["Subgroup"]:
+        """Every normal subgroup, ordered by (order, sorted member tuple).
+
+        A normal subgroup is generated by the conjugacy classes it
+        contains, so a breadth-first walk from {0} reaches each one: every
+        step adds one class to a stored class-union seed and takes the
+        closure."""
         # checked before the memo lookup, so a cached lattice never bypasses it
-        if self.n > bound:
+        if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
-                f"subgroup enumeration bound {bound} exceeded (order {self.n})"
+                f"subgroup enumeration bound {DEFAULT_SUBGROUP_ENUM_BOUND} exceeded"
+                f" (order {self.n})"
             )
 
-    def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
-        """Every subgroup, by closure of growing generator sets.
-
-        Deterministic order: by (order, sorted member tuple).
-        """
-        self._check_subgroup_bound(bound)
-
         def compute():
-            seen: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
-            work = [(frozenset({0}), ())]
-            while work:
-                members, gens = work.pop()
-                for g in range(1, self.n):
-                    if g in members:
-                        continue
-                    new_gens = gens + (g,)
-                    new_members = self.closure(new_gens)
-                    if new_members not in seen:
-                        seen[new_members] = new_gens
-                        work.append((new_members, new_gens))
-            subs = [Subgroup(self, ms) for ms in seen]
+            t, inv = self.table, self._inv
+            conjugators = (0,) if self.is_abelian() else range(self.n)  # abelian: points
+            classes = {tuple(sorted({t[t[g][a]][inv[g]] for g in conjugators}))
+                       for a in range(1, self.n)}
+            found = {frozenset({0})}
+            work = [(frozenset({0}), ())]  # (members, class-union seed)
+            for members, seed in work:  # grows while it is walked, so breadth-first
+                for cls in classes:
+                    if cls[0] not in members:  # a normal subgroup holds all of it or none
+                        new = self.closure(seed + cls)
+                        if new not in found:
+                            found.add(new)
+                            work.append((new, seed + cls))
+            subs = [Subgroup(self, ms) for ms in found]
             subs.sort(key=lambda s: (s.order, s.sorted_members))
+            for s in subs:
+                s._cache["normal"] = True
             return subs
-
-        return self._memo("all_subgroups", compute)
-
-    def normal_subgroups(self, bound: int = DEFAULT_SUBGROUP_ENUM_BOUND) -> list["Subgroup"]:
-        self._check_subgroup_bound(bound)
-
-        def compute():
-            return [s for s in self.all_subgroups(bound) if s.is_normal()]
 
         return self._memo("normal_subgroups", compute)
 
@@ -710,12 +704,11 @@ def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
             raise NotAssociativeError(f"associativity fails through generator {g}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup,
-                   bound: int = DEFAULT_INGEST_BOUND) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) is indexed a * |H| + b."""
     n = g.n * h.n
-    if n > bound:
-        raise OrderBoundExceededError(f"product order {n} exceeds bound {bound}")
+    if n > DEFAULT_INGEST_BOUND:
+        raise OrderBoundExceededError(f"product order {n} exceeds bound {DEFAULT_INGEST_BOUND}")
     gt, ht = g.table, h.table
     table = [
         [gt[a1][a2] * h.n + ht[b1][b2] for a2 in range(g.n) for b2 in range(h.n)]

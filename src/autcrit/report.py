@@ -107,9 +107,10 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
 
 
 def center_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All subgroups of Z(G), in the order of ``g.all_subgroups()``."""
+    """All subgroups of Z(G), each normal, in the order of
+    ``g.normal_subgroups()``."""
     z = g.center().members
-    return [s for s in g.all_subgroups() if s.members <= z]
+    return [s for s in g.normal_subgroups() if s.members <= z]
 
 
 def sweep_2_3(g: FiniteGroup):

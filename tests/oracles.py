@@ -11,6 +11,7 @@ from math import gcd
 
 from autcrit.automorphisms import _fingerprints
 from autcrit.errors import InvariantError
+from autcrit.groups import Subgroup
 
 
 def tuple_elements(p, exps):
@@ -152,12 +153,34 @@ def min_generating_size(table):
     return n  # unreachable for a real group
 
 
+def all_subgroups(g):
+    """Every subgroup, by closure of growing generator sets.
+
+    Deterministic order: by (order, sorted member tuple).
+    """
+    seen = {frozenset({0}): ()}
+    work = [(frozenset({0}), ())]
+    while work:
+        members, gens = work.pop()
+        for x in range(1, g.n):
+            if x in members:
+                continue
+            new_gens = gens + (x,)
+            new_members = g.closure(new_gens)
+            if new_members not in seen:
+                seen[new_members] = new_gens
+                work.append((new_members, new_gens))
+    subs = [Subgroup(g, ms) for ms in seen]
+    subs.sort(key=lambda s: (s.order, s.sorted_members))
+    return subs
+
+
 def unpruned_direct_factor(g):
     """Direct-factor search with no centrality pruning: scan all pairs of
     normal subgroups (A, B) with A nontrivial abelian, A intersecting B
     trivially and |A||B| = |G|."""
     t = g.table
-    normals = [s for s in g.all_subgroups() if s.is_normal()]
+    normals = [s for s in all_subgroups(g) if s.is_normal()]
 
     def abelian_set(s):
         ms = s.sorted_members

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,16 @@ class TestAutomorphismGroup:
         g = cyclic_group(16)
         with pytest.raises(OrderBoundExceededError):
             automorphism_group(g, bound=8)
+
+    @pytest.mark.parametrize("p,exps", [(3, (1, 1, 1, 1)), (2, (1, 1, 1, 1, 1))])
+    def test_member_bound_refused_before_building(self, p, exps):
+        # |GL(4, 3)| = 24,261,120 and |GL(5, 2)| = 9,999,360 members are
+        # refused from the transversal sizes alone
+        g = abelian_group(p, exps)
+        t0 = time.perf_counter()
+        with pytest.raises(OrderBoundExceededError, match="member bound"):
+            automorphism_group(g)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_bound_checked_after_caching(self):
         g = build_group(get_spec("D16xC2"), fresh=True)
@@ -343,8 +355,8 @@ class TestTransversalSearch:
     """The search builds each set from one representative per orbit point
     and level; the all-leaves backtracking oracle reaches every member."""
 
-    # |GL(5, 2)| = 9,999,360 and |GL(4, 3)| = 24,261,120 members are too
-    # many to enumerate in a test, by either search
+    # |GL(5, 2)| = 9,999,360 and |GL(4, 3)| = 24,261,120 members exceed
+    # the member bound, and are too many for the oracle to enumerate
     TOO_LARGE = ("C2xC2xC2xC2xC2", "C3xC3xC3xC3")
 
     def test_full_aut_of_catalog_matches_oracle(self, corpus):

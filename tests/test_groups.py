@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from autcrit.abelian import PPartition, partitions_up_to
 from autcrit.catalog import (
+    GroupSpec,
     abelian_group,
+    build_group,
     catalog,
     cyclic_group,
     dihedral_group,
@@ -29,6 +31,7 @@ from autcrit.errors import (
 )
 from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
 from oracles import (
+    all_subgroups,
     is_associative,
     min_generating_size,
     permutation_table,
@@ -156,18 +159,19 @@ class TestFromPermutations:
         with pytest.raises(InvalidPermutationError):
             FiniteGroup.from_permutation_generators([(0, 0, 1)])
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
+        monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 10)
         with pytest.raises(OrderBoundExceededError):
-            FiniteGroup.from_permutation_generators(
-                [tuple(list(range(1, 12)) + [0])], bound=10
-            )
+            FiniteGroup.from_permutation_generators([tuple(list(range(1, 12)) + [0])])
 
-    def test_order_bound_edge(self):
+    def test_order_bound_edge(self, monkeypatch):
         # the bound is the largest order allowed, checked during the closure
         cycle = [tuple(list(range(1, 12)) + [0])]
-        assert FiniteGroup.from_permutation_generators(cycle, bound=12).n == 12
+        monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 12)
+        assert FiniteGroup.from_permutation_generators(cycle).n == 12
+        monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 11)
         with pytest.raises(OrderBoundExceededError):
-            FiniteGroup.from_permutation_generators(cycle, bound=11)
+            FiniteGroup.from_permutation_generators(cycle)
 
     def test_catalog_tables_match_oracle(self):
         for spec in catalog():
@@ -455,31 +459,63 @@ class TestSubgroupEnumeration:
         ],
     )
     def test_known_counts(self, builder, count):
-        assert len(builder().all_subgroups()) == count
+        assert len(all_subgroups(builder())) == count
+
+    # D8's six are counted by test_normal_subgroups_subset
+    @pytest.mark.parametrize(
+        "builder,count",
+        [
+            (lambda: quaternion_group(8), 6),
+            (lambda: abelian_group(2, (1, 1, 1)), 16),
+            (lambda: s3(), 3),
+        ],
+    )
+    def test_known_normal_counts(self, builder, count):
+        normals = builder().normal_subgroups()
+        assert len(normals) == count
+        assert all(s.is_normal() for s in normals)
 
     def test_bound(self):
         with pytest.raises(OrderBoundExceededError):
-            abelian_group(2, (1,) * 8).all_subgroups(bound=128)
-
-    def test_normal_subgroups_bound_checked_after_caching(self):
-        g = dihedral_group(16)
-        assert len(g.normal_subgroups()) > 0
-        with pytest.raises(OrderBoundExceededError):
-            g.normal_subgroups(bound=8)
+            abelian_group(2, (1,) * 8).normal_subgroups()
 
     def test_lagrange_and_closure(self):
         g = dihedral_group(16)
-        for s in g.all_subgroups():
+        for s in all_subgroups(g):
             assert g.n % s.order == 0
             for a in s.sorted_members:
                 for b in s.sorted_members:
                     assert g.mul(a, b) in s.members
+
+    def test_normal_subgroups_match_oracle(self, corpus):
+        # every catalog group in the enumeration bound, and the two large
+        # groups of the benchmark's stress workload; list order included
+        groups = {name: g for name, (_, g) in corpus.items() if g.n <= 128}
+        for spec in (GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"),
+                     GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)")):
+            groups[spec.name] = build_group(spec, fresh=True)
+        for name, g in sorted(groups.items()):
+            expected = [s for s in all_subgroups(g) if s.is_normal()]
+            assert g.normal_subgroups() == expected, name
 
     def test_normal_subgroups_subset(self):
         g = dihedral_group(8)
         normals = g.normal_subgroups()
         assert len(normals) == 6  # 1, center, C4, two Klein fours, D8
         assert all(s.is_normal() for s in normals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_carries_normal_subgroups(self, nonabelian_corpus, data):
+        names = sorted(name for name, g in nonabelian_corpus.items() if g.n <= 32)
+        g = nonabelian_corpus[data.draw(st.sampled_from(names))]
+        pi = [0] + data.draw(st.permutations(range(1, g.n)))
+        inv = [0] * g.n
+        for a, b in enumerate(pi):
+            inv[b] = a
+        h = FiniteGroup([[pi[g.mul(inv[a], inv[b])] for b in range(g.n)] for a in range(g.n)])
+        expected = {frozenset(pi[x] for x in s.members) for s in g.normal_subgroups()}
+        assert {s.members for s in h.normal_subgroups()} == expected
 
 
 class TestCorpusInvariants:
