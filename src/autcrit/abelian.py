@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     HypothesisViolationError,
@@ -90,6 +91,10 @@ class PPartition:
         return cls(int(m.group(1)), exps)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return f"{self.p}^[{','.join(str(e) for e in self.exps)}]"
 
     def factor_orders(self) -> tuple[int, ...]:

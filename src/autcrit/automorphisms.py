@@ -28,7 +28,10 @@ That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
 (X, Y) pairs.  The distinguished subgroups (central, IA, and their
 center-fixing variants) are instead obtained by filtering the full
-enumeration, so corpus verification rests on a single search path.
+enumeration, so corpus verification rests on a single search path.  The
+filter reads each automorphism only at the generators of G and Z(G):
+Z(G) and G' are characteristic, so where an automorphism lands on a
+generating set settles membership.
 """
 
 from __future__ import annotations
@@ -363,6 +366,11 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     CENTRAL: g^-1 a(g) in Z(G) everywhere.  C_STAR: central and fixing
     Z(G) pointwise.  IA: g^-1 a(g) in G' everywhere.  IA_STAR: IA and
     fixing Z(G) pointwise.
+
+    The filter tests generator images only.  Z(G) and G' are
+    characteristic, so the x with a(x) in xN form a subgroup, and a is in
+    Aut^N exactly when a(x) in xN for every x of ``g.generating_sequence()``;
+    likewise a fixes Z(G) exactly when it fixes ``z.generators()``.
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
@@ -371,18 +379,18 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
 
     def compute():
         full = automorphism_group(g, bound=bound)
-        z = g.center().members
-        dsub = g.derived_subgroup().members
-        target = z if which in (CENTRAL, C_STAR) else dsub
+        z = g.center()
+        upper = z if which in (CENTRAL, C_STAR) else g.derived_subgroup()
         table = g.table
-        inv = [g.inv(a) for a in range(g.n)]
-        members = []
-        for a in full.members:
-            im = a.images
-            if all(table[inv[x]][im[x]] in target for x in range(g.n)):
-                if which in (C_STAR, IA_STAR) and not all(im[x] == x for x in z):
-                    continue
-                members.append(a)
+        # (point, allowed images): the coset xN, or {x} for a point fixed
+        checks = [(x, frozenset(table[x][k] for k in upper.members))
+                  for x in g.generating_sequence()]
+        if which in (C_STAR, IA_STAR):
+            checks += [(x, frozenset({x})) for x in z.generators()]
+        # one pass per point over the survivors; the first pass drops most
+        members = full.members
+        for x, allowed in checks:
+            members = [a for a in members if a.images[x] in allowed]
         return AutSet(g, members, which)
 
     return g._memo(key, compute)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from .abelian import (
     IDENTICAL,
+    HomVerdict,
     PPartition,
     decide_hom_equal_sources,
     decide_hom_equal_targets,
@@ -107,6 +108,18 @@ def _quotient_part(g: FiniteGroup, kernel: Subgroup, p: int) -> PPartition:
     return g.quotient(kernel).group.abelian_partition(p)
 
 
+def _hom_targets(g: FiniteGroup, a: PPartition, b: PPartition, c: PPartition) -> HomVerdict:
+    """``decide_hom_equal_targets(a, b, c)``, decided once per group; an
+    exception propagates and is not memoised."""
+    return g._memo(("hom_targets", a, b, c), lambda: decide_hom_equal_targets(a, b, c))
+
+
+def _hom_sources(g: FiniteGroup, d: PPartition, a: PPartition, b: PPartition) -> HomVerdict:
+    """``decide_hom_equal_sources(d, a, b)``, which is the targets decision
+    for (b, d, a), so the two share one memo entry."""
+    return g._memo(("hom_targets", b, d, a), lambda: decide_hom_equal_sources(d, a, b))
+
+
 def _decided(criterion: str, sub, evidence: dict[str, str]) -> CriterionVerdict:
     """The single-group verdict from one Hom-equality decision: NONE when
     unequal, DEGENERATE_EQUALITY on its identical branch, else CASE_II."""
@@ -158,12 +171,12 @@ def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
         "G/G'N1": str(q1), "G/G'N2": str(q2), "M1": str(mp1), "M2": str(mp2),
     }
     if m1.members == m2.members:
-        sub = decide_hom_equal_sources(q1, q2, mp1)
+        sub = _hom_sources(g, q1, q2, mp1)
         evidence["case_i"] = sub.detail
         if sub.equal:
             return CriterionVerdict(COR_2_3, True, CASE_I, evidence)
     if q1 == q2:
-        sub = decide_hom_equal_targets(q1, mp1, mp2)
+        sub = _hom_targets(g, q1, mp1, mp2)
         evidence["case_ii"] = sub.detail
         if sub.equal:
             return CriterionVerdict(COR_2_3, True, CASE_II, evidence)
@@ -212,12 +225,12 @@ def cor_2_5(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
     evidence = {"G/G'N": str(qn), "G/G'": str(q0), "M": str(mp), "Z": str(zp)}
     if m.members == z.members:
         # N <= G' is exactly the identical-quotient branch of the decision
-        sub = decide_hom_equal_sources(qn, q0, mp)
+        sub = _hom_sources(g, qn, q0, mp)
         evidence["case_i"] = sub.detail
         if sub.equal:
             return CriterionVerdict(COR_2_5, True, CASE_I, evidence)
     if n.members <= d.members:
-        sub = decide_hom_equal_targets(q0, mp, zp)
+        sub = _hom_targets(g, q0, mp, zp)
         evidence["case_ii"] = sub.detail
         if sub.equal:
             return CriterionVerdict(COR_2_5, True, CASE_II, evidence)
@@ -244,7 +257,7 @@ def cor_2_7(g: FiniteGroup) -> CriterionVerdict:
     qz = _mod_derived_part(g, z, p)
     q0 = _quotient_part(g, d, p)
     zp = z.partition(p)
-    sub = decide_hom_equal_sources(qz, q0, zp)
+    sub = _hom_sources(g, qz, q0, zp)
     evidence = {"G/G'Z": str(qz), "G/G'": str(q0), "Z": str(zp), "detail": sub.detail}
     return _decided(COR_2_7, sub, evidence)
 
@@ -260,7 +273,7 @@ def cor_2_8(g: FiniteGroup) -> CriterionVerdict:
     qz = _quotient_part(g, z, p)
     q0 = _quotient_part(g, d, p)
     dp = d.partition(p)
-    sub = decide_hom_equal_sources(qz, q0, dp)
+    sub = _hom_sources(g, qz, q0, dp)
     evidence = {"G/Z": str(qz), "G/G'": str(q0), "G'": str(dp), "detail": sub.detail}
     return _decided(COR_2_8, sub, evidence)
 
@@ -278,7 +291,7 @@ def cor_2_9(g: FiniteGroup) -> CriterionVerdict:
     dp = d.partition(p)
     zp = z.partition(p)
     qz = _quotient_part(g, z, p)
-    sub = decide_hom_equal_targets(qz, dp, zp)
+    sub = _hom_targets(g, qz, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "detail": sub.detail}
     return _decided(COR_2_9, sub, evidence)
 
@@ -332,7 +345,7 @@ def thm_2_12(g: FiniteGroup) -> CriterionVerdict:
     dp = d.partition(p)
     zp = z.partition(p)
     q0 = _quotient_part(g, d, p)
-    sub = decide_hom_equal_targets(q0, dp, zp)
+    sub = _hom_targets(g, q0, dp, zp)
     evidence = {"G'": str(dp), "Z": str(zp), "G/G'": str(q0), "detail": sub.detail}
     return _decided(THM_2_12, sub, evidence)
 

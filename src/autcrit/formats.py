@@ -14,7 +14,8 @@ import re
 from pathlib import Path
 
 from .errors import GroupFileError, InvalidPermutationError, OrderBoundExceededError
-from .groups import DEFAULT_INGEST_BOUND, FiniteGroup
+from . import groups
+from .groups import FiniteGroup
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -78,8 +79,9 @@ def parse_group_text(text: str) -> FiniteGroup:
         size = int(header[1])
     except ValueError:
         raise GroupFileError(f"bad header size in {lines[0]!r}") from None
-    if size > DEFAULT_INGEST_BOUND:
-        raise OrderBoundExceededError(f"{header[0]} {size} exceeds bound {DEFAULT_INGEST_BOUND}")
+    bound = groups.DEFAULT_INGEST_BOUND  # read at call time, like the closure's check
+    if size > bound:
+        raise OrderBoundExceededError(f"{header[0]} {size} exceeds bound {bound}")
     if header[0] == "cayley":
         rows = []
         for ln in lines[1:]:

@@ -38,6 +38,7 @@ from .errors import (
 
 DEFAULT_INGEST_BOUND = 10_000
 DEFAULT_SUBGROUP_ENUM_BOUND = 128
+_MISSING = object()  # a memo miss; a cached value may be None
 
 
 def prime_power_order(n: int) -> tuple[int, int] | None:
@@ -214,12 +215,15 @@ class FiniteGroup:
 
     def prime_power(self) -> tuple[int, int] | None:
         """(p, m) for a p-group of order p**m >= 2, None for the trivial group."""
-        return prime_power_order(self.n)
+        return self._memo("prime_power", lambda: prime_power_order(self.n))
 
     def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        """The cached value for ``key``, computed by ``fn`` on first use; an
+        exception from ``fn`` propagates and caches nothing."""
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = fn()
+        return value
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.n})"
@@ -453,7 +457,8 @@ class FiniteGroup:
             current = self.full_subgroup()
             cls = 0
             while current.order > 1:
-                nxt = self.commutator_with(current)
+                # the first step is [G, G], which the derived subgroup memoises
+                nxt = self.commutator_with(current) if cls else self.derived_subgroup()
                 if nxt.members == current.members:
                     raise NotNilpotentError("lower central series stabilises above 1")
                 current = nxt

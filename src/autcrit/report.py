@@ -50,9 +50,6 @@ class Row:
     note: str = ""
     args: tuple[tuple[int, ...], ...] = ()
 
-    def to_json(self) -> str:
-        return json.dumps({f: getattr(self, f) for f in JSON_FIELDS})
-
 
 @dataclass
 class Report:
@@ -246,8 +243,30 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
     return specs
 
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def reports_to_json_lines(reports: list[Report]) -> str:
-    return "\n".join(row.to_json() for rep in reports for row in rep.rows) + "\n"
+    """One ``json.dumps`` line per row, written from parts: the (group,
+    order, prime, criterion) prefix is dumped once per criterion and each
+    clause once, and ``repr`` of a float is the text ``json`` writes."""
+    prefixes: dict = {}
+    clauses: dict = {}
+    lit = _JSON_LITERALS
+    lines = []
+    for rep in reports:
+        for r in rep.rows:
+            head = (r.group, r.order, r.prime, r.criterion)
+            prefix = prefixes.get(head)
+            if prefix is None:
+                prefix = prefixes[head] = json.dumps(dict(zip(JSON_FIELDS, head)))[:-1]
+            clause = clauses.get(r.clause)
+            if clause is None:
+                clause = clauses[r.clause] = json.dumps(r.clause)
+            lines.append(f'{prefix}, "predicted": {lit[r.predicted]}, '
+                         f'"observed": {lit[r.observed]}, "match": {lit[r.match]}, '
+                         f'"clause": {clause}, "elapsed_ms": {r.elapsed_ms!r}}}')
+    return "\n".join(lines) + "\n"
 
 
 def report_to_text(report: Report, verbose: bool = False) -> str:

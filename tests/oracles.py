@@ -9,7 +9,13 @@ over multiplication tables.
 from itertools import combinations, product
 from math import gcd
 
-from autcrit.automorphisms import _fingerprints
+from autcrit.automorphisms import (
+    C_STAR,
+    CENTRAL,
+    IA_STAR,
+    _fingerprints,
+    automorphism_group,
+)
 from autcrit.errors import InvariantError
 from autcrit.groups import Subgroup
 
@@ -317,3 +323,22 @@ def all_automorphisms(g, upper, fixed):
     dfs(img0, used0, base_members[:], 0)
     results.sort()
     return results
+
+
+def distinguished_members(g, which):
+    """Members of a distinguished subgroup, by testing g^-1 a(g) at every
+    element of G and, for C_STAR and IA_STAR, a(z) = z at every z in Z(G)."""
+    full = automorphism_group(g)
+    z = g.center().members
+    dsub = g.derived_subgroup().members
+    target = z if which in (CENTRAL, C_STAR) else dsub
+    table = g.table
+    inv = [g.inv(a) for a in range(g.n)]
+    members = []
+    for a in full.members:
+        im = a.images
+        if all(table[inv[x]][im[x]] in target for x in range(g.n)):
+            if which in (C_STAR, IA_STAR) and not all(im[x] == x for x in z):
+                continue
+            members.append(a)
+    return frozenset(members)

@@ -40,7 +40,13 @@ from autcrit.errors import (
     OrderBoundExceededError,
     ParentMismatchError,
 )
-from oracles import all_automorphisms
+from oracles import all_automorphisms, distinguished_members
+
+
+STRESS_SPECS = (
+    GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"),
+    GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +261,22 @@ class TestDistinguished:
                 distinguished(g, IA_STAR), aut_upper_lower(g, d, z)
             ), name
 
+    def test_matches_all_elements_filter(self, corpus):
+        # the generator-image filter against the filter that tests every
+        # element; abelian groups included, where G' is trivial
+        groups = {name: g for name, (spec, g) in corpus.items() if g.n <= DEFAULT_AUT_BOUND}
+        groups["C1"] = cyclic_group(1)
+        for spec in STRESS_SPECS:
+            groups[spec.name] = build_group(spec, fresh=True)
+        for name, g in sorted(groups.items()):
+            for tag in (CENTRAL, C_STAR, IA, IA_STAR):
+                if name in TestTransversalSearch.TOO_LARGE:
+                    for filtered in (distinguished, distinguished_members):
+                        with pytest.raises(OrderBoundExceededError):
+                            filtered(g, tag)
+                    continue
+                assert distinguished(g, tag).members == distinguished_members(g, tag), (name, tag)
+
     def test_containments_on_corpus(self, nonabelian_corpus):
         for name, g in sorted(nonabelian_corpus.items()):
             ia_star = distinguished(g, IA_STAR)
@@ -377,8 +399,7 @@ class TestTransversalSearch:
                     assert _images(aut_upper_lower(g, x, y)) == expected, (name, x.order, y.order)
 
     def test_stress_groups(self):
-        q = build_group(GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"), fresh=True)
-        he = build_group(GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)"), fresh=True)
+        q, he = (build_group(spec, fresh=True) for spec in STRESS_SPECS)
         full_q = automorphism_group(q)
         assert len(full_q) == 12288
         assert len(automorphism_group(he)) == 23328

@@ -205,6 +205,16 @@ class TestFiles:
         with pytest.raises(OrderBoundExceededError):
             parse_group_text(body.format(DEFAULT_INGEST_BOUND + 1))
 
+    @pytest.mark.parametrize("header", ["perm", "cayley"])
+    def test_header_bound_follows_the_groups_constant(self, monkeypatch, header):
+        # the one ingest bound, read where it is defined at call time
+        monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 1)
+        with pytest.raises(OrderBoundExceededError):
+            parse_group_text(f"{header} 2\n")
+        monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 2)
+        g = parse_group_text(f"{header} 2\n" + ("()\n" if header == "perm" else "0 1\n1 0\n"))
+        assert g.n == (1 if header == "perm" else 2)
+
     def test_missing_file(self):
         with pytest.raises(GroupFileError):
             read_group_file("/nonexistent/group.cayley")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -127,6 +128,22 @@ class TestVerify:
             row = json.loads(ln)
             assert list(row.keys()) == JSON_FIELDS
             assert row["match"] is True
+
+    def test_row_writer_matches_json_dumps(self):
+        # every null/true/false combination, a name json must escape, and
+        # floats whose text json writes as 0.0, 1e-05 and 12345.678
+        names = ['Q"8\\x', "C\u00e9", "D8"]
+        times = [0.0, 1e-05, 12345.678]
+        rows = [
+            report_mod.Row(names[i % 3], 8, 2, "COR_2_3", pred, obs, match,
+                           "CASE_I" if i % 2 else 'N"ONE', times[i % 3])
+            for i, (pred, obs, match) in enumerate(product((True, False, None), repeat=3))
+        ]
+        rep = report_mod.Report("D8", 8, 2, {}, rows)
+        want = "".join(json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n"
+                       for r in rows)
+        assert report_mod.reports_to_json_lines([rep, rep]) == want + want
+        assert report_mod.reports_to_json_lines([]) == "\n"
 
     def test_injected_wrong_predicate_fails(self, monkeypatch, capsys):
         _, *sides = report_mod.CRITERIA[crit.COR_2_6]

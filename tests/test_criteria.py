@@ -1,6 +1,16 @@
+import gc
+import weakref
+from itertools import product
+
 import pytest
 
-from autcrit.abelian import PPartition, hom_order
+from autcrit.abelian import (
+    PPartition,
+    decide_hom_equal_sources,
+    decide_hom_equal_targets,
+    hom_order,
+    partitions_up_to,
+)
 from autcrit.automorphisms import (
     C_STAR,
     CENTRAL,
@@ -13,6 +23,8 @@ from autcrit.automorphisms import (
 from autcrit.catalog import build_group, cyclic_group, get_spec
 from autcrit.criteria import (
     CASE_I,
+    _hom_sources,
+    _hom_targets,
     CASE_II,
     DEGENERATE_EQUALITY,
     NONE,
@@ -28,6 +40,7 @@ from autcrit.criteria import (
     lemma_2_11_check,
     thm_2_12,
 )
+from autcrit.groups import FiniteGroup
 from autcrit.errors import (
     AbelianInputError,
     ClassNotTwoError,
@@ -63,6 +76,55 @@ def d16():
 @pytest.fixture(scope="module")
 def q8xc2():
     return by_name("Q8xC2")
+
+
+class TestHomMemo:
+    """Each Hom-equality decision is made once per group, in its memo."""
+
+    @pytest.mark.parametrize("p, max_sum", [(2, 3), (3, 2)])
+    def test_matches_direct_decision(self, p, max_sum):
+        g = FiniteGroup([[0]])
+        defined = set()
+        for a, b, c in product(partitions_up_to(p, max_sum), repeat=3):
+            # sources(a, b, c) shares its entry with targets(c, a, b), so
+            # both orders of first use are reached over the whole grid
+            try:
+                want = decide_hom_equal_targets(a, b, c)
+            except HypothesisViolationError:
+                with pytest.raises(HypothesisViolationError):
+                    _hom_targets(g, a, b, c)
+            else:
+                defined.add((a, b, c))
+                assert _hom_targets(g, a, b, c) == want, (a, b, c)
+            try:
+                want = decide_hom_equal_sources(a, b, c)
+            except HypothesisViolationError:
+                with pytest.raises(HypothesisViolationError):
+                    _hom_sources(g, a, b, c)
+            else:
+                assert _hom_sources(g, a, b, c) == want, (a, b, c)
+        # one entry per defined decision, however it was first asked for
+        entries = {k[1:] for k in g._cache if k[0] == "hom_targets"}
+        assert entries == defined
+
+    def test_violation_raises_every_call(self):
+        g = FiniteGroup([[0]])
+        a, b, c = PPartition(2, (1,)), PPartition(2, (2,)), PPartition(2, (1,))
+        for _ in range(2):
+            with pytest.raises(HypothesisViolationError):
+                _hom_targets(g, a, b, c)
+            with pytest.raises(HypothesisViolationError):
+                _hom_sources(g, b, c, a)  # the same decision, roles swapped
+        assert not any(k[0] == "hom_targets" for k in g._cache)
+
+    def test_entries_die_with_their_group(self):
+        g = FiniteGroup([[0]])
+        a, b, c = PPartition(2, (1,)), PPartition(2, (1,)), PPartition(2, (2,))
+        verdict = weakref.ref(_hom_targets(g, a, b, c))
+        assert verdict() is not None
+        del g
+        gc.collect()
+        assert verdict() is None
 
 
 class TestCor23:
