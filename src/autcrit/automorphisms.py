@@ -13,7 +13,13 @@ level d it looks, for every candidate image of the d-th generator, for
 one completed assignment that fixes the earlier generators (a
 stabiliser-chain transversal, by orbit-stabiliser); every member is then
 a product of one representative per level, and the number of members is
-the product of the transversal sizes.
+the product of the transversal sizes.  The products are built as rows of
+one numpy array, one gather per level.
+
+A set stores each member as a packed key: the bytes of its image row as
+uint16 (every order the ingest bound admits is below 2**16).  Equal keys
+are equal maps, so set equality, size and membership read the keys;
+``Automorphism`` objects are decoded only when ``AutSet.members`` is read.
 
 Every constrained question is one search for Aut^X_Y(G), the
 automorphisms alpha with g^-1 alpha(g) in X for every g that also fix Y
@@ -29,7 +35,7 @@ elementary abelian groups), which matters when sweeping all admissible
 (X, Y) pairs.  The distinguished subgroups (central, IA, and their
 center-fixing variants) are instead obtained by filtering the full
 enumeration, so corpus verification rests on a single search path.  The
-filter reads each automorphism only at the generators of G and Z(G):
+filter reads each packed row only at the generators of G and Z(G):
 Z(G) and G' are characteristic, so where an automorphism lands on a
 generating set settles membership.
 """
@@ -40,7 +46,6 @@ import os
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from operator import itemgetter
 
 import numpy as np
 
@@ -57,6 +62,8 @@ from .groups import FiniteGroup, Subgroup
 DEFAULT_AUT_BOUND = 128
 # Largest automorphism set built; |Aut(C2^5)| = 9,999,360 is refused.
 DEFAULT_AUT_MEMBER_BOUND = 250_000
+# One image entry of a packed key; groups.DEFAULT_INGEST_BOUND = 10,000 fits.
+KEY_DTYPE = np.uint16
 
 FULL = "FULL"
 INN = "INN"
@@ -129,29 +136,59 @@ class Automorphism:
         return bool(np.array_equal(img[t], t[np.ix_(img, img)]))
 
 
+def _packed(n: int, rows) -> np.ndarray:
+    """Image rows of length n as an (m, n) KEY_DTYPE array.  An order
+    above 2**16 would truncate the entries, so it raises."""
+    if n > 1 << 16:
+        raise OrderBoundExceededError(f"group order {n} exceeds the packed-key limit {1 << 16}")
+    return np.asarray(rows, dtype=KEY_DTYPE).reshape(-1, n)
+
+
+def _keys(n: int, rows) -> list[bytes]:
+    """The packed key of each image row: the bytes of its ``_packed`` entries."""
+    packed = np.ascontiguousarray(_packed(n, rows))
+    return packed.view(f"V{n * packed.itemsize}").ravel().tolist()
+
+
 class AutSet:
-    """A set of automorphisms of one parent group, tagged by what it is."""
+    """A set of automorphisms of one parent group, tagged by what it is.
 
-    __slots__ = ("parent", "members", "name")
+    ``keys`` holds one packed key per member (see ``_keys``); ``members``
+    decodes them into ``Automorphism`` objects once, on first use."""
 
-    def __init__(self, parent: FiniteGroup, members, name: str):
+    __slots__ = ("parent", "keys", "name", "_members")
+
+    def __init__(self, parent: FiniteGroup, keys, name: str):
         self.parent = parent
-        self.members = frozenset(members)
+        self.keys = frozenset(keys)
         self.name = name
-        if Automorphism(tuple(range(parent.n))) not in self.members:
+        self._members = None
+        if _keys(parent.n, np.arange(parent.n))[0] not in self.keys:
             raise InvariantError(f"{name} automorphism set lacks the identity")
 
+    def rows(self) -> np.ndarray:
+        """The members' image rows, one per key in ``keys`` order."""
+        return np.frombuffer(b"".join(self.keys), dtype=KEY_DTYPE).reshape(-1, self.parent.n)
+
+    @property
+    def members(self) -> frozenset[Automorphism]:
+        """The members as ``Automorphism`` objects, decoded on first use."""
+        if self._members is None:
+            self._members = frozenset(Automorphism(tuple(r)) for r in self.rows().tolist())
+        return self._members
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.keys)
 
     def __iter__(self):
         return iter(sorted(self.members, key=lambda a: a.images))
 
     def __contains__(self, a: Automorphism) -> bool:
-        return a in self.members
+        n = self.parent.n
+        return len(a.images) == n and _keys(n, a.images)[0] in self.keys
 
     def __repr__(self) -> str:
-        return f"AutSet({self.name}, order={len(self.members)})"
+        return f"AutSet({self.name}, order={len(self.keys)})"
 
     def verify_closed(self) -> bool:
         """Check closure under composition and inverses (quadratic; meant
@@ -178,9 +215,9 @@ def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
     return g._memo("aut_fingerprints", compute)
 
 
-def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[Automorphism]:
-    """All automorphisms fixing ``fixed`` pointwise with generator images
-    in their ``upper`` cosets, as an unordered frozenset.
+def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[bytes]:
+    """The packed keys of all automorphisms fixing ``fixed`` pointwise
+    with generator images in their ``upper`` cosets.
 
     With A_d the members that also fix gens[:d], A_d is the disjoint union
     of r * A_(d+1), one r for each image c of gens[d]; each r is the first
@@ -287,35 +324,29 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[Autom
     return compose_transversals(n, transversals)
 
 
-def _through(partial, reps):
-    """Lazily p * r (p after r) for every p in ``partial`` and r in
-    ``reps``; itemgetter(*r)(p) builds each tuple at its exact size."""
-    getters = [itemgetter(*r) for r in reps]
-    return (get(p) for p in partial for get in getters)
-
-
-def compose_transversals(n: int, transversals) -> frozenset[Automorphism]:
-    """Every product r_0 * r_1 * ... of one image tuple per transversal.
+def compose_transversals(n: int, transversals) -> frozenset[bytes]:
+    """The packed keys of every product r_0 * r_1 * ... of one image
+    tuple per transversal.
 
     A set above DEFAULT_AUT_MEMBER_BOUND is refused from the transversal
-    sizes before any member is built.  The products are chained
-    generators, so no level's partial products are held as a list.
-    Distinct cosets give distinct products, so a set smaller than the
-    product of the sizes means a repeated representative, which the set
-    would otherwise merge silently."""
+    sizes before any member is built.  The products are the rows of one
+    array, extended by one gather per level: row i*k + j of
+    ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give distinct
+    products, so fewer keys than the product of the sizes means a repeated
+    representative, which the set would otherwise merge silently."""
     expected = prod(len(reps) for reps in transversals)
     if expected > DEFAULT_AUT_MEMBER_BOUND:
         raise OrderBoundExceededError(f"{expected} automorphisms exceed member bound "
                                       f"{DEFAULT_AUT_MEMBER_BOUND}")
-    partial = [tuple(range(n))]
+    partial = _packed(n, np.arange(n))
     for reps in transversals:
-        partial = _through(partial, reps)
-    members = frozenset(map(Automorphism, partial))
-    if len(members) != expected:
+        partial = partial[:, _packed(n, reps)].reshape(-1, n)
+    keys = frozenset(_keys(n, partial))
+    if len(keys) != expected:
         raise InvariantError(
-            f"{len(members)} automorphisms from transversals of product size {expected}"
+            f"{len(keys)} automorphisms from transversals of product size {expected}"
         )
-    return members
+    return keys
 
 
 def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
@@ -331,11 +362,8 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
     """Conjugation maps; there are |G| / |Z(G)| of them."""
     def compute():
-        members = {
-            Automorphism(tuple(g.conjugate(a, x) for x in range(g.n)))
-            for a in range(g.n)
-        }
-        s = AutSet(g, members, INN)
+        rows = [[g.conjugate(a, x) for x in range(g.n)] for a in range(g.n)]
+        s = AutSet(g, _keys(g.n, rows), INN)
         if len(s) * g.center().order != g.n:
             raise InvariantError(f"{len(s)} inner automorphisms for |Z(G)| = {g.center().order}")
         return s
@@ -382,16 +410,19 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
         z = g.center()
         upper = z if which in (CENTRAL, C_STAR) else g.derived_subgroup()
         table = g.table
-        # (point, allowed images): the coset xN, or {x} for a point fixed
-        checks = [(x, frozenset(table[x][k] for k in upper.members))
+        # (point, allowed images): the coset xN, or x itself for a point fixed
+        checks = [(x, [table[x][k] for k in upper.members])
                   for x in g.generating_sequence()]
         if which in (C_STAR, IA_STAR):
-            checks += [(x, frozenset({x})) for x in z.generators()]
-        # one pass per point over the survivors; the first pass drops most
-        members = full.members
+            checks += [(x, [x]) for x in z.generators()]
+        # one pass per point over the surviving rows, through a lookup
+        # table of allowed images; the first pass drops most
+        rows = full.rows()
         for x, allowed in checks:
-            members = [a for a in members if a.images[x] in allowed]
-        return AutSet(g, members, which)
+            ok = np.zeros(g.n, dtype=bool)
+            ok[allowed] = True
+            rows = rows[ok[rows[:, x]]]
+        return AutSet(g, _keys(g.n, rows), which)
 
     return g._memo(key, compute)
 
@@ -454,11 +485,12 @@ def hom_construct_auts(g: FiniteGroup, x: Subgroup, y: Subgroup) -> AutSet:
     the corresponding partitions.
     """
     pairs = hom_automorphism_pairs(g, x, y)
-    return AutSet(g, (a for _, a in pairs), UPPER_LOWER_XY)
+    return AutSet(g, _keys(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
 
 
 def autset_equal(s1: AutSet, s2: AutSet) -> bool:
-    """Set equality of members; the parents must be the same group."""
+    """Set equality of members, read on the packed keys (equal keys are
+    equal maps); the parents must be the same group."""
     if s1.parent is not s2.parent and s1.parent.table != s2.parent.table:
         raise ParentMismatchError("automorphism sets over different groups")
-    return s1.members == s2.members
+    return s1.keys == s2.keys

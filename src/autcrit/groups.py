@@ -628,6 +628,8 @@ def subgroup_product(h: Subgroup, k: Subgroup) -> Subgroup:
 
     If neither factor is known normal the product set is still returned
     when it happens to be closed, otherwise NotASubgroupError is raised.
+    A product of two factors already known normal is itself marked normal;
+    normality is never computed just to set that mark.
     """
     if h.parent is not k.parent:
         raise ValueError("subgroup product across different parent groups")
@@ -639,7 +641,10 @@ def subgroup_product(h: Subgroup, k: Subgroup) -> Subgroup:
             for b in prod:
                 if t[a][b] not in prod:
                     raise NotASubgroupError("HK is not a subgroup (neither factor normal)")
-    return Subgroup(g, prod)
+    s = Subgroup(g, prod)
+    if h._cache.get("normal") and k._cache.get("normal"):
+        s._cache["normal"] = True
+    return s
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from autcrit.automorphisms import (
     DEFAULT_AUT_BOUND,
     IA,
     IA_STAR,
+    KEY_DTYPE,
     aut_bound,
     aut_upper_lower,
     automorphism_group,
@@ -360,6 +362,45 @@ class TestAutSetBasics:
         assert not autset_equal(distinguished(m16, IA), distinguished(m16, CENTRAL))
 
 
+class TestPackedSets:
+    """Each set is a frozenset of packed keys: the bytes of one member's
+    image row as KEY_DTYPE."""
+
+    def test_cyclic_512_is_the_odd_multipliers(self):
+        # entries reach 511, so a key narrower than two bytes would merge
+        # x -> kx with x -> (k + 256)x
+        expected = {tuple(k * x % 512 for x in range(512)) for k in range(1, 512, 2)}
+        assert _images(automorphism_group(cyclic_group(512), bound=512)) == expected
+
+    def test_keys_agree_with_members(self, nonabelian_corpus):
+        for name, g in sorted(nonabelian_corpus.items()):
+            if g.n > 32:
+                continue
+            full = automorphism_group(g)
+            moves_identity = Automorphism(tuple(range(1, g.n)) + (0,))
+            normals = g.normal_subgroups()
+            by_members: dict[frozenset, list] = {}
+            for x in normals:
+                for y in normals:
+                    s = aut_upper_lower(g, x, y)
+                    assert all(a in s for a in s.members), (name, x.order, y.order)
+                    assert moves_identity not in s
+                    by_members.setdefault(s.members, []).append(s)
+            firsts = [same[0] for same in by_members.values()]
+            for members, same in by_members.items():
+                assert all(autset_equal(same[0], s) for s in same), name
+                outside = full.members - members
+                assert not outside or next(iter(outside)) not in same[0], name
+            for i, s in enumerate(firsts):
+                assert not any(autset_equal(s, t) for t in firsts[i + 1:]), name
+
+    def test_order_past_key_range_raises(self):
+        # 2**16 entries still fit uint16; one more must not be truncated
+        assert _decoded(compose_transversals(1 << 16, [])) == {tuple(range(1 << 16))}
+        with pytest.raises(OrderBoundExceededError, match="packed-key limit"):
+            compose_transversals((1 << 16) + 1, [])
+
+
 class TestCorpusAutSets:
     def test_closed_and_verified(self, nonabelian_corpus):
         for name, g in sorted(nonabelian_corpus.items()):
@@ -371,6 +412,10 @@ class TestCorpusAutSets:
 
 def _images(autset):
     return {a.images for a in autset.members}
+
+
+def _decoded(keys):
+    return {tuple(np.frombuffer(k, dtype=KEY_DTYPE).tolist()) for k in keys}
 
 
 class TestTransversalSearch:
@@ -411,8 +456,8 @@ class TestTransversalSearch:
         # the 3-cycle 1 -> 2 -> 3 -> 1, not b * a
         ident, a, b = (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
         built = compose_transversals(4, [[ident, a], [ident, b]])
-        assert {x.images for x in built} == {ident, a, b, (0, 2, 3, 1)}
-        assert compose_transversals(1, []) == {Automorphism((0,))}
+        assert _decoded(built) == {ident, a, b, (0, 2, 3, 1)}
+        assert _decoded(compose_transversals(1, [])) == {(0,)}
 
     def test_repeated_representative_raises(self):
         with pytest.raises(InvariantError):

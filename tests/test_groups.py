@@ -237,6 +237,16 @@ class TestSubgroupProduct:
         assert prod.order == 2
         assert prod.members == g.center().members
 
+    def test_normal_flag_only_from_factors_known_normal(self):
+        g = dihedral_group(16)
+        assert subgroup_product(g.derived_subgroup(), g.center())._cache.get("normal") is True
+        refl = next(x for x in range(g.n) if g.element_order(x) == 2 and x not in g.center())
+        assert "normal" not in subgroup_product(g.subgroup({0, refl}), g.center())._cache
+        # a factor whose normality is not yet known is not examined for the flag
+        z = g.subgroup(g.center().members)
+        assert "normal" not in subgroup_product(g.derived_subgroup(), z)._cache
+        assert "normal" not in z._cache
+
     def test_nonnormal_failure(self):
         # two different non-normal reflections of D8 generate a product
         # set that is not a subgroup
