@@ -398,7 +398,8 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     The filter tests generator images only.  Z(G) and G' are
     characteristic, so the x with a(x) in xN form a subgroup, and a is in
     Aut^N exactly when a(x) in xN for every x of ``g.generating_sequence()``;
-    likewise a fixes Z(G) exactly when it fixes ``z.generators()``.
+    likewise a fixes Z(G) exactly when it fixes ``z.generators()``.  C_STAR
+    and IA_STAR are filtered out of CENTRAL and IA, not the full group.
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
@@ -406,18 +407,19 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     key = ("aut_distinguished", which)
 
     def compute():
-        full = automorphism_group(g, bound=bound)
-        z = g.center()
-        upper = z if which in (CENTRAL, C_STAR) else g.derived_subgroup()
-        table = g.table
         # (point, allowed images): the coset xN, or x itself for a point fixed
-        checks = [(x, [table[x][k] for k in upper.members])
-                  for x in g.generating_sequence()]
         if which in (C_STAR, IA_STAR):
-            checks += [(x, [x]) for x in z.generators()]
+            base = distinguished(g, CENTRAL if which == C_STAR else IA, bound=bound)
+            checks = [(x, [x]) for x in g.center().generators()]
+        else:
+            base = automorphism_group(g, bound=bound)
+            upper = g.center() if which == CENTRAL else g.derived_subgroup()
+            table = g.table
+            checks = [(x, [table[x][k] for k in upper.members])
+                      for x in g.generating_sequence()]
         # one pass per point over the surviving rows, through a lookup
         # table of allowed images; the first pass drops most
-        rows = full.rows()
+        rows = base.rows()
         for x, allowed in checks:
             ok = np.zeros(g.n, dtype=bool)
             ok[allowed] = True

@@ -148,8 +148,9 @@ def cmd_verify_all(args) -> int:
         for rep in reports:
             print(report_to_text(rep))
         total = sum(len(r.rows) for r in reports)
+        skipped = sum(row.match is None for r in reports for row in r.rows)
         bad = sum(len(r.mismatches) for r in reports)
-        print(f"== {len(reports)} groups, {total} rows, {bad} mismatches ==")
+        print(f"== {len(reports)} groups, {total} rows, {skipped} skipped, {bad} mismatches ==")
     return 0 if ok else 1
 
 

@@ -94,7 +94,7 @@ def _require_nonabelian_p_group(g: FiniteGroup) -> int:
     return pp[0]
 
 
-def _mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
+def mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
     """Partition of G / (G' N); the quotient is abelian by construction."""
     key = ("mod_derived_part", n.members)
 
@@ -163,8 +163,8 @@ def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
     """
     p = _require_nonabelian_p_group(g)
     _check_cor_2_3_hypotheses(g, m1, n1, m2, n2)
-    q1 = _mod_derived_part(g, n1, p)
-    q2 = _mod_derived_part(g, n2, p)
+    q1 = mod_derived_part(g, n1, p)
+    q2 = mod_derived_part(g, n2, p)
     mp1 = m1.partition(p)
     mp2 = m2.partition(p)
     evidence = {
@@ -218,7 +218,7 @@ def cor_2_5(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
     p = _require_nonabelian_p_group(g)
     z = _check_m_z_n(g, m, n)
     d = g.derived_subgroup()
-    qn = _mod_derived_part(g, n, p)
+    qn = mod_derived_part(g, n, p)
     q0 = _quotient_part(g, d, p)
     mp = m.partition(p)
     zp = z.partition(p)
@@ -254,7 +254,7 @@ def cor_2_7(g: FiniteGroup) -> CriterionVerdict:
     p = _require_nonabelian_p_group(g)
     z = g.center()
     d = g.derived_subgroup()
-    qz = _mod_derived_part(g, z, p)
+    qz = mod_derived_part(g, z, p)
     q0 = _quotient_part(g, d, p)
     zp = z.partition(p)
     sub = _hom_sources(g, qz, q0, zp)

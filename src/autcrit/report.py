@@ -6,7 +6,10 @@ the search engine, compares them as sets, and records whether prediction
 and observation agree.  ``CRITERIA`` is the one table of what each
 criterion compares.  The parameterised criteria (COR_2_3, COR_2_4,
 COR_2_5) are swept over every admissible tuple of normal subgroups; each
-tuple contributes one row.
+tuple contributes one row.  The sweep yields each tuple with the invariant
+key its predicate reads; the predicate decides the first tuple of each key
+(its hypothesis checks hold by the sweep's own containments) and later
+tuples reuse that (predicted, clause).  Brute force still runs per row.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}; rows
@@ -110,36 +113,54 @@ def center_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return [s for s in g.normal_subgroups() if s.members <= z]
 
 
+def _ids(parts) -> list[int]:
+    """A small int per partition, equal exactly when the partitions are."""
+    ids: dict = {}
+    return [ids.setdefault(q, len(ids)) for q in parts]
+
+
 def sweep_2_3(g: FiniteGroup):
     """Admissible (M1, N1, M2, N2) tuples: all normal, M_i <= Z(G) and
-    M_i <= N_i, M1 <= M2, N2 <= N1."""
+    M_i <= N_i, M1 <= M2, N2 <= N1; each with the key ``cor_2_3`` reads:
+    the ids of G/G'N1, G/G'N2, M1 and M2, and whether M1 = M2."""
+    p = g.prime_power()[0]
     normals = g.normal_subgroups()
     zsubs = center_subgroups(g)
-    for n1 in normals:
-        for n2 in normals:
+    q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
+    mp = _ids(m.partition(p) for m in zsubs)
+    # below[j]: each M1 <= M2 = zsubs[j], with its id and whether M1 = M2
+    below = [[(m1, mp[i], i == j) for i, m1 in enumerate(zsubs) if m1.members <= m2.members]
+             for j, m2 in enumerate(zsubs)]
+    for n1, q1 in zip(normals, q):
+        for n2, q2 in zip(normals, q):
             if not n2.members <= n1.members:
                 continue
-            m2_cands = [m for m in zsubs if m.members <= n2.members]
-            for m2 in m2_cands:
-                for m1 in m2_cands:
-                    if m1.members <= m2.members:
-                        yield m1, n1, m2, n2
+            for j, m2 in enumerate(zsubs):
+                if m2.members <= n2.members:
+                    for m1, mp1, same in below[j]:
+                        yield (m1, n1, m2, n2), (q1, q2, mp1, mp[j], same)
 
 
 def sweep_2_45(g: FiniteGroup):
-    """Admissible (M, N) pairs with M <= Z(G) <= N, both normal."""
-    z = g.center()
-    normals = [n for n in g.normal_subgroups() if z.members <= n.members]
+    """Admissible (M, N) pairs with M <= Z(G) <= N, both normal; each with
+    the key ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M, and
+    whether M = Z(G) and N <= G'."""
+    p = g.prime_power()[0]
+    z, d = g.center().members, g.derived_subgroup().members
+    normals = [n for n in g.normal_subgroups() if z <= n.members]
     zsubs = center_subgroups(g)
-    for n in normals:
-        for m in zsubs:
-            yield m, n
+    q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
+    ms = [(m, i, m.members == z) for m, i in zip(zsubs, _ids(m.partition(p) for m in zsubs))]
+    for n, qn in zip(normals, q):
+        for m, mp, is_z in ms:
+            yield (m, n), (qn, mp, is_z, n.members <= d)
 
 
 # criterion id -> (predicate, tuple sweep or None, argument labels, left
 # side, right side).  A side is a distinguished tag, or the (upper, lower)
-# argument positions of Aut^{M}_{N}.  The predicate takes the group and
-# one swept tuple; single-group criteria have no sweep and no arguments.
+# argument positions of Aut^{M}_{N}.  The sweep yields (tuple, invariant
+# key) and the predicate takes the group and one swept tuple; single-group
+# criteria have no sweep and no arguments.
 CRITERIA = {
     crit.COR_2_3: (crit.cor_2_3, sweep_2_3, ("M1", "N1", "M2", "N2"), (0, 1), (2, 3)),
     crit.COR_2_4: (crit.cor_2_4, sweep_2_45, ("M", "N"), (0, 1), aut.C_STAR),
@@ -197,24 +218,28 @@ def verify_group(
 
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
-        for args in sweep(g) if sweep else [()]:
+        verdicts: dict = {}  # invariant key -> (predicted_equal, clause)
+        for args, key in sweep(g) if sweep else [((), None)]:
             t0 = time.perf_counter()
             note = ""
-            try:
-                verdict = predicate(g, *args)
-            except ClassNotTwoError as exc:
-                if explicit:
-                    raise
-                report.notes.append(f"{cid}: skipped ({exc})")
-                continue
+            if key not in verdicts:
+                try:
+                    verdict = predicate(g, *args)
+                except ClassNotTwoError as exc:
+                    if explicit:
+                        raise
+                    report.notes.append(f"{cid}: skipped ({exc})")
+                    continue
+                verdicts[key] = (verdict.predicted_equal, verdict.clause)
+            predicted, clause = verdicts[key]
             try:
                 observed = aut.autset_equal(side(left, args), side(right, args))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
             elapsed = (time.perf_counter() - t0) * 1000.0
-            match = None if observed is None else observed == verdict.predicted_equal
-            report.rows.append(Row(name, g.n, p, cid, verdict.predicted_equal, observed,
-                                   match, verdict.clause, round(elapsed, 3), note,
+            match = None if observed is None else observed == predicted
+            report.rows.append(Row(name, g.n, p, cid, predicted, observed, match, clause,
+                                   round(elapsed, 3), note,
                                    tuple(s.sorted_members for s in args)))
     report.rows.sort(key=lambda r: (r.group, r.criterion))
     return report

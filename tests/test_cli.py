@@ -199,6 +199,13 @@ class TestVerifyAll:
         keys = [(r["group"], r["criterion"]) for r in rows]
         assert keys == sorted(keys)
 
+    def test_summary_counts_skipped(self, monkeypatch, capsys):
+        # every 3-group in the catalog has order above 16
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", "16")
+        assert cli.main(["verify-all", "--p", "3"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "== 23 groups, 908 rows, 908 skipped, 0 mismatches =="
+
     def test_empty_selection(self, capsys):
         assert cli.main(["verify-all", "--max-order", "1"]) == 0
         assert "0 groups" in capsys.readouterr().out

@@ -20,8 +20,10 @@ from autcrit.automorphisms import (
     autset_equal,
     distinguished,
 )
-from autcrit.catalog import build_group, cyclic_group, get_spec
+from autcrit import report as report_mod
+from autcrit.catalog import build_group, cyclic_group, eval_recipe, get_spec
 from autcrit.criteria import (
+    COR_2_3,
     CASE_I,
     _hom_sources,
     _hom_targets,
@@ -46,7 +48,7 @@ from autcrit.errors import (
     ClassNotTwoError,
     HypothesisViolationError,
 )
-from autcrit.report import sweep_2_3, sweep_2_45
+from autcrit.report import sweep_2_3, sweep_2_45, verify_group
 
 
 def by_name(name):
@@ -160,7 +162,7 @@ class TestCor23:
     @pytest.mark.parametrize("name", ["Q8", "D8", "M16", "D16"])
     def test_sweep_agrees_with_brute_force(self, name):
         g = by_name(name)
-        for m1, n1, m2, n2 in sweep_2_3(g):
+        for (m1, n1, m2, n2), _ in sweep_2_3(g):
             v = cor_2_3(g, m1, n1, m2, n2)
             observed = autset_equal(
                 aut_upper_lower(g, m1, n1), aut_upper_lower(g, m2, n2)
@@ -188,7 +190,7 @@ class TestCor24:
         for name in ("Q8", "D8", "M16", "D8xC2"):
             g = by_name(name)
             z = g.center()
-            for m, n in sweep_2_45(g):
+            for (m, n), _ in sweep_2_45(g):
                 lhs = cor_2_4(g, m, n).predicted_equal
                 rhs = cor_2_3(g, m, n, z, z).predicted_equal
                 assert lhs == rhs, (name, m, n)
@@ -197,7 +199,7 @@ class TestCor24:
         for name in ("D8", "M16", "Q8xC2"):
             g = by_name(name)
             cs = distinguished(g, C_STAR)
-            for m, n in sweep_2_45(g):
+            for (m, n), _ in sweep_2_45(g):
                 v = cor_2_4(g, m, n)
                 observed = autset_equal(aut_upper_lower(g, m, n), cs)
                 assert v.predicted_equal == observed, (name, m, n)
@@ -228,7 +230,7 @@ class TestCor25:
         for name in ("Q8", "D8", "M16", "D16"):
             g = by_name(name)
             ac = distinguished(g, CENTRAL)
-            for m, n in sweep_2_45(g):
+            for (m, n), _ in sweep_2_45(g):
                 v = cor_2_5(g, m, n)
                 observed = autset_equal(aut_upper_lower(g, m, n), ac)
                 assert v.predicted_equal == observed, (name, m, n)
@@ -407,3 +409,67 @@ class TestVerdictShape:
         assert v.evidence["G/G'"] == str(
             m16.quotient(d).group.abelian_partition(2)
         )
+
+
+# the two benchmark stress groups, outside the catalog
+STRESS_RECIPES = {
+    "Q8xC4xC2": "product(quaternion 8, abelian 2 2 1)",
+    "He3xC3": "product(heisenberg 3, cyclic 3)",
+}
+SWEPT = ((sweep_2_3, cor_2_3), (sweep_2_45, cor_2_4), (sweep_2_45, cor_2_5))
+
+
+def keyed_disagreements(g, sweep, predicate, key_of=lambda key: key):
+    """Swept tuples whose (predicted, clause) differs from that of the
+    first tuple with the same ``key_of(key)``.  The public predicate runs
+    on every tuple, so its hypothesis checks run on every tuple too."""
+    first = {}
+    bad = []
+    for args, key in sweep(g):
+        v = predicate(g, *args)
+        decided = (v.predicted_equal, v.clause)
+        if first.setdefault(key_of(key), decided) != decided:
+            bad.append(args)
+    return bad
+
+
+class TestVerdictKeys:
+    def test_catalog_keys_decide_verdicts(self, nonabelian_corpus):
+        for name, g in sorted(nonabelian_corpus.items()):
+            for sweep, predicate in SWEPT:
+                assert not keyed_disagreements(g, sweep, predicate), (name, predicate)
+
+    @pytest.mark.parametrize("name", sorted(STRESS_RECIPES))
+    def test_stress_keys_decide_verdicts(self, name):
+        g = eval_recipe(STRESS_RECIPES[name])
+        for sweep, predicate in SWEPT:
+            assert not keyed_disagreements(g, sweep, predicate), predicate
+
+    # Each partition id is needed.  Dropping a flag (M1 = M2, M = Z(G),
+    # N <= G') alone is not caught: under the sweep's containments the
+    # partitions decide it, as a subgroup of another of equal order is it.
+    @pytest.mark.parametrize("sweep, predicate, key_of", [
+        (sweep_2_3, cor_2_3, lambda k: k[:1] + k[2:]),    # without G/G'N2
+        (sweep_2_3, cor_2_3, lambda k: k[:3] + k[4:]),    # without M2
+        (sweep_2_45, cor_2_4, lambda k: k[:1] + k[2:]),   # without M
+        (sweep_2_45, cor_2_5, lambda k: k[1:]),           # without G/G'N
+    ], ids=["cor_2_3-N2", "cor_2_3-M2", "cor_2_4-M", "cor_2_5-N"])
+    def test_coarser_key_disagrees(self, nonabelian_corpus, sweep, predicate, key_of):
+        assert any(keyed_disagreements(g, sweep, predicate, key_of)
+                   for _, g in sorted(nonabelian_corpus.items()))
+
+    @pytest.mark.parametrize("name, rows, keys", [
+        ("Q8xC4xC2", 18983, 369), ("He3xC3", 674, 48),
+    ])
+    def test_one_predicate_call_per_key(self, monkeypatch, name, rows, keys):
+        predicate, *rest = report_mod.CRITERIA[COR_2_3]
+        calls = []
+
+        def counted(g, *args):
+            calls.append(args)
+            return predicate(g, *args)
+
+        monkeypatch.setitem(report_mod.CRITERIA, COR_2_3, (counted, *rest))
+        rep = verify_group(name, eval_recipe(STRESS_RECIPES[name]), [COR_2_3])
+        assert len(rep.rows) == rows and len(calls) == keys
+        assert all(r.match for r in rep.rows)
