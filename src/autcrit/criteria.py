@@ -8,18 +8,23 @@ verdict naming the clause that fired.  None of them enumerates a single
 automorphism; the corpus harness checks every verdict against the
 brute-force engine.
 
-Criterion ids (COR_2_3 ... THM_2_12) are the stable vocabulary used in
-reports:
+Seven criteria compare Aut^{M1}_{N1}(G) with Aut^{M2}_{N2}(G), M1 <= M2
+central and N2 <= N1, and share one condition, that of COR_2_3, at the
+(M1, N1, M2, N2) listed below (Z = Z(G); Aut_c = Aut^{Z}_{1}, C* =
+Aut^{Z}_{Z}, IA = Aut^{G'}_{1}, IA* = Aut^{G'}_{Z}).  Criterion ids are
+the stable vocabulary used in reports:
 
-* COR_2_3   Aut^{M1}_{N1}(G) = Aut^{M2}_{N2}(G) for nested (M_i, N_i)
-* COR_2_4   Aut^{M}_{N}(G) = C*
-* COR_2_5   Aut^{M}_{N}(G) = Aut_c(G)
-* COR_2_6   IA(G)* = Aut_c(G)
-* COR_2_7   Aut_c(G) = C*
-* COR_2_8   IA(G) = IA(G)*          (class-2 hypothesis)
-* COR_2_9   IA(G)* = C*
-* COR_2_10  IA(G) = C*
-* THM_2_12  IA(G) = Aut_c(G)
+* COR_2_3   Aut^{M1}_{N1}(G) = Aut^{M2}_{N2}(G)   (M1, N1, M2, N2)
+* COR_2_4   Aut^{M}_{N}(G) = C*                   (M, N, Z, Z)
+* COR_2_5   Aut^{M}_{N}(G) = Aut_c(G)             (M, N, Z, 1)
+* COR_2_6   IA(G)* = Aut_c(G)                     iff G' = Z(G)
+* COR_2_7   Aut_c(G) = C*                         (Z, Z, Z, 1)
+* COR_2_8   IA(G) = IA(G)*    (class 2 only)      (G', Z, G', 1)
+* COR_2_9   IA(G)* = C*                           (G', Z, Z, Z)
+* COR_2_10  IA(G) = C*                            rank and exponent test
+* THM_2_12  IA(G) = Aut_c(G)                      (G', 1, Z, 1)
+
+COR_2_9, COR_2_10 and THM_2_12 are false outright when G' is not central.
 
 Clause tags: CASE_I / CASE_II are the two alternative conditions of the
 parameterised criteria; for the single-group criteria the degenerate
@@ -120,13 +125,21 @@ def _hom_sources(g: FiniteGroup, d: PPartition, a: PPartition, b: PPartition) ->
     return g._memo(("hom_targets", b, d, a), lambda: decide_hom_equal_sources(d, a, b))
 
 
-def _decided(criterion: str, sub, evidence: dict[str, str]) -> CriterionVerdict:
-    """The single-group verdict from one Hom-equality decision: NONE when
-    unequal, DEGENERATE_EQUALITY on its identical branch, else CASE_II."""
-    if not sub.equal:
+def _decided(criterion: str, clause: str, sub, evidence: dict[str, str]) -> CriterionVerdict:
+    """The single-group verdict from ``_nested``: NONE when its clause is,
+    DEGENERATE_EQUALITY when the deciding Hom equality took its identical
+    branch, else CASE_II."""
+    if clause == NONE:
         return CriterionVerdict(criterion, False, NONE, evidence)
     clause = DEGENERATE_EQUALITY if sub.clause == IDENTICAL else CASE_II
     return CriterionVerdict(criterion, True, clause, evidence)
+
+
+def _above_class_two(criterion: str, g: FiniteGroup) -> CriterionVerdict | None:
+    """NONE outright when G' is not central (class > 2), else None."""
+    if g.derived_subgroup().members <= g.center().members:
+        return None
+    return CriterionVerdict(criterion, False, NONE, {"class": "G' is not central (class > 2)"})
 
 
 def _check_normal_roles(g, roles) -> None:
@@ -150,37 +163,51 @@ def _check_cor_2_3_hypotheses(g, m1, n1, m2, n2) -> None:
         raise HypothesisViolationError("N2 is not contained in N1")
 
 
-def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
-            m2: Subgroup, n2: Subgroup) -> CriterionVerdict:
-    """Equality of Aut^{M1}_{N1}(G) and Aut^{M2}_{N2}(G).
+def _nested(g, p, m1, n1, m2, n2,
+            labels=("G/G'N1", "G/G'N2", "M1", "M2", "case_i", "case_ii")):
+    """The COR_2_3 condition at (M1, N1, M2, N2), as (clause, the
+    HomVerdict that settled it or None, evidence).  ``labels`` name the
+    evidence: the partitions of G/G'N1, G/G'N2, M1, M2, then the detail
+    of the Hom decision of clause (i) and of clause (ii).
 
-    Hypotheses: M_i <= Z(G) and M_i <= N_i, all normal, M1 <= M2 and
-    N2 <= N1.  Clause (i): M1 = M2 and the two quotients G/G'N_i are
-    interchangeable as Hom sources against M1.  Clause (ii): the
-    quotients agree and M1, M2 are interchangeable as Hom targets.
-    Quotient equality is read as equality of abelian invariants, which
-    for nested kernels is the same as G'N1 = G'N2.
+    Clause (i): M1 = M2 and G/G'N1, G/G'N2 are interchangeable Hom
+    sources against M1.  Clause (ii): the quotients agree (as invariants,
+    which for nested kernels is G'N1 = G'N2) and M1, M2 are
+    interchangeable Hom targets against them.  Needs only M1 <= M2
+    central and N2 <= N1, all normal; callers check their hypotheses.
     """
-    p = _require_nonabelian_p_group(g)
-    _check_cor_2_3_hypotheses(g, m1, n1, m2, n2)
     q1 = mod_derived_part(g, n1, p)
     q2 = mod_derived_part(g, n2, p)
     mp1 = m1.partition(p)
     mp2 = m2.partition(p)
-    evidence = {
-        "G/G'N1": str(q1), "G/G'N2": str(q2), "M1": str(mp1), "M2": str(mp2),
-    }
+    k1, k2, km1, km2, ki, kii = labels
+    evidence = {k1: str(q1), k2: str(q2), km1: str(mp1), km2: str(mp2)}
+    sub = None
     if m1.members == m2.members:
         sub = _hom_sources(g, q1, q2, mp1)
-        evidence["case_i"] = sub.detail
+        evidence[ki] = sub.detail
         if sub.equal:
-            return CriterionVerdict(COR_2_3, True, CASE_I, evidence)
+            return CASE_I, sub, evidence
     if q1 == q2:
         sub = _hom_targets(g, q1, mp1, mp2)
-        evidence["case_ii"] = sub.detail
+        evidence[kii] = sub.detail
         if sub.equal:
-            return CriterionVerdict(COR_2_3, True, CASE_II, evidence)
-    return CriterionVerdict(COR_2_3, False, NONE, evidence)
+            return CASE_II, sub, evidence
+    return NONE, sub, evidence
+
+
+def cor_2_3(g: FiniteGroup, m1: Subgroup, n1: Subgroup,
+            m2: Subgroup, n2: Subgroup) -> CriterionVerdict:
+    """Equality of Aut^{M1}_{N1}(G) and Aut^{M2}_{N2}(G): the condition
+    of ``_nested``.
+
+    Hypotheses: M_i <= Z(G) and M_i <= N_i, all normal, M1 <= M2 and
+    N2 <= N1.
+    """
+    p = _require_nonabelian_p_group(g)
+    _check_cor_2_3_hypotheses(g, m1, n1, m2, n2)
+    clause, _, evidence = _nested(g, p, m1, n1, m2, n2)
+    return CriterionVerdict(COR_2_3, clause != NONE, clause, evidence)
 
 
 def _check_m_z_n(g, m, n) -> Subgroup:
@@ -192,49 +219,23 @@ def _check_m_z_n(g, m, n) -> Subgroup:
 
 
 def cor_2_4(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
-    """Aut^{M}_{N}(G) = C* for M <= Z(G) <= N.
-
-    C* is Aut^{Z}_{Z}(G), so this is COR_2_3 with (M2, N2) = (Z(G), Z(G)):
-    clause (i) is M = Z(G) with G/G'N, G/G'Z(G) interchangeable Hom
-    sources against M; clause (ii) is G/G'N = G/G'Z(G) with M, Z(G)
-    interchangeable Hom targets.
-    """
-    _require_nonabelian_p_group(g)
+    """Aut^{M}_{N}(G) = C* for M <= Z(G) <= N: COR_2_3 at (M, N, Z, Z),
+    whose hypotheses M <= Z(G) <= N implies."""
+    p = _require_nonabelian_p_group(g)
     z = _check_m_z_n(g, m, n)
-    v = cor_2_3(g, m, n, z, z)
-    labels = {"G/G'N1": "G/G'N", "G/G'N2": "G/G'Z", "M1": "M", "M2": "Z"}
-    evidence = {labels.get(k, k): val for k, val in v.evidence.items()}
-    return CriterionVerdict(COR_2_4, v.predicted_equal, v.clause, evidence)
+    labels = ("G/G'N", "G/G'Z", "M", "Z", "case_i", "case_ii")
+    clause, _, evidence = _nested(g, p, m, n, z, z, labels)
+    return CriterionVerdict(COR_2_4, clause != NONE, clause, evidence)
 
 
 def cor_2_5(g: FiniteGroup, m: Subgroup, n: Subgroup) -> CriterionVerdict:
-    """Aut^{M}_{N}(G) = Aut_c(G) for M <= Z(G) <= N.
-
-    Clause (i): M = Z(G) and either N <= G' or G/G'N and G/G' are
-    interchangeable Hom sources against M; clause (ii): N <= G' and
-    either M = Z(G) or M, Z(G) are interchangeable Hom targets against
-    G/G'.
-    """
+    """Aut^{M}_{N}(G) = Aut_c(G) for M <= Z(G) <= N: the condition at
+    (M, N, Z, 1), whose clause (ii) needs N <= G' (equal quotients)."""
     p = _require_nonabelian_p_group(g)
     z = _check_m_z_n(g, m, n)
-    d = g.derived_subgroup()
-    qn = mod_derived_part(g, n, p)
-    q0 = _quotient_part(g, d, p)
-    mp = m.partition(p)
-    zp = z.partition(p)
-    evidence = {"G/G'N": str(qn), "G/G'": str(q0), "M": str(mp), "Z": str(zp)}
-    if m.members == z.members:
-        # N <= G' is exactly the identical-quotient branch of the decision
-        sub = _hom_sources(g, qn, q0, mp)
-        evidence["case_i"] = sub.detail
-        if sub.equal:
-            return CriterionVerdict(COR_2_5, True, CASE_I, evidence)
-    if n.members <= d.members:
-        sub = _hom_targets(g, q0, mp, zp)
-        evidence["case_ii"] = sub.detail
-        if sub.equal:
-            return CriterionVerdict(COR_2_5, True, CASE_II, evidence)
-    return CriterionVerdict(COR_2_5, False, NONE, evidence)
+    labels = ("G/G'N", "G/G'", "M", "Z", "case_i", "case_ii")
+    clause, _, evidence = _nested(g, p, m, n, z, g.trivial_subgroup(), labels)
+    return CriterionVerdict(COR_2_5, clause != NONE, clause, evidence)
 
 
 def cor_2_6(g: FiniteGroup) -> CriterionVerdict:
@@ -250,50 +251,34 @@ def cor_2_6(g: FiniteGroup) -> CriterionVerdict:
 
 def cor_2_7(g: FiniteGroup) -> CriterionVerdict:
     """Aut_c(G) = C* iff Z(G) <= G', or the quotients G/G'Z(G) and G/G'
-    have equal rank and exp(Z(G)) <= var between them."""
+    have equal rank and exp(Z(G)) <= var between them: (Z, Z, Z, 1)."""
     p = _require_nonabelian_p_group(g)
     z = g.center()
-    d = g.derived_subgroup()
-    qz = mod_derived_part(g, z, p)
-    q0 = _quotient_part(g, d, p)
-    zp = z.partition(p)
-    sub = _hom_sources(g, qz, q0, zp)
-    evidence = {"G/G'Z": str(qz), "G/G'": str(q0), "Z": str(zp), "detail": sub.detail}
-    return _decided(COR_2_7, sub, evidence)
+    labels = ("G/G'Z", "G/G'", "Z", "Z", "detail", "detail")
+    return _decided(COR_2_7, *_nested(g, p, z, z, z, g.trivial_subgroup(), labels))
 
 
 def cor_2_8(g: FiniteGroup) -> CriterionVerdict:
     """IA(G) = IA(G)* for class-2 groups: G' = Z(G), or G/Z(G) and G/G'
-    have equal rank and exp(G') <= var between them."""
+    have equal rank and exp(G') <= var between them: (G', Z, G', 1)."""
     p = _require_nonabelian_p_group(g)
     if g.nilpotence_class() != 2:
         raise ClassNotTwoError(f"nilpotence class is {g.nilpotence_class()}, not 2")
-    z = g.center()
     d = g.derived_subgroup()
-    qz = _quotient_part(g, z, p)
-    q0 = _quotient_part(g, d, p)
-    dp = d.partition(p)
-    sub = _hom_sources(g, qz, q0, dp)
-    evidence = {"G/Z": str(qz), "G/G'": str(q0), "G'": str(dp), "detail": sub.detail}
-    return _decided(COR_2_8, sub, evidence)
+    labels = ("G/Z", "G/G'", "G'", "G'", "detail", "detail")
+    return _decided(COR_2_8, *_nested(g, p, d, g.center(), d, g.trivial_subgroup(), labels))
 
 
 def cor_2_9(g: FiniteGroup) -> CriterionVerdict:
     """IA(G)* = C* iff G' = Z(G), or G' < Z(G) with equal ranks and
-    exp(G/Z(G)) <= var(G', Z(G)).  False outright above class 2."""
+    exp(G/Z(G)) <= var(G', Z(G)): (G', Z, Z, Z).  False outright above
+    class 2."""
     p = _require_nonabelian_p_group(g)
+    if (outright := _above_class_two(COR_2_9, g)) is not None:
+        return outright
     z = g.center()
-    d = g.derived_subgroup()
-    if not d.members <= z.members:
-        return CriterionVerdict(
-            COR_2_9, False, NONE, {"class": "G' is not central (class > 2)"}
-        )
-    dp = d.partition(p)
-    zp = z.partition(p)
-    qz = _quotient_part(g, z, p)
-    sub = _hom_targets(g, qz, dp, zp)
-    evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "detail": sub.detail}
-    return _decided(COR_2_9, sub, evidence)
+    labels = ("G/Z", "G/Z", "G'", "Z", "detail", "detail")
+    return _decided(COR_2_9, *_nested(g, p, g.derived_subgroup(), z, z, z, labels))
 
 
 def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
@@ -301,12 +286,10 @@ def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
     and the four-way equality exp(G') = var(G/Z, G/G') = exp(G/Z) =
     var(G', Z).  False outright above class 2."""
     p = _require_nonabelian_p_group(g)
+    if (outright := _above_class_two(COR_2_10, g)) is not None:
+        return outright
     z = g.center()
     d = g.derived_subgroup()
-    if not d.members <= z.members:
-        return CriterionVerdict(
-            COR_2_10, False, NONE, {"class": "G' is not central (class > 2)"}
-        )
     if d.members == z.members:
         return CriterionVerdict(COR_2_10, True, DEGENERATE_EQUALITY, {"G'": "Z(G)"})
     dp = d.partition(p)
@@ -334,20 +317,14 @@ def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
 
 def thm_2_12(g: FiniteGroup) -> CriterionVerdict:
     """IA(G) = Aut_c(G) iff G' = Z(G), or G' < Z(G) with equal ranks and
-    exp(G/G') <= var(G', Z(G)).  False outright above class 2."""
+    exp(G/G') <= var(G', Z(G)): (G', 1, Z, 1).  False outright above
+    class 2."""
     p = _require_nonabelian_p_group(g)
-    z = g.center()
-    d = g.derived_subgroup()
-    if not d.members <= z.members:
-        return CriterionVerdict(
-            THM_2_12, False, NONE, {"class": "G' is not central (class > 2)"}
-        )
-    dp = d.partition(p)
-    zp = z.partition(p)
-    q0 = _quotient_part(g, d, p)
-    sub = _hom_targets(g, q0, dp, zp)
-    evidence = {"G'": str(dp), "Z": str(zp), "G/G'": str(q0), "detail": sub.detail}
-    return _decided(THM_2_12, sub, evidence)
+    if (outright := _above_class_two(THM_2_12, g)) is not None:
+        return outright
+    one = g.trivial_subgroup()
+    labels = ("G/G'", "G/G'", "G'", "Z", "detail", "detail")
+    return _decided(THM_2_12, *_nested(g, p, g.derived_subgroup(), one, g.center(), one, labels))
 
 
 def lemma_2_11_check(g: FiniteGroup) -> bool:

@@ -575,6 +575,8 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, members={self.sorted_members})"
 
+    _memo = FiniteGroup._memo
+
     def is_normal(self) -> bool:
         def compute():
             g = self.parent
@@ -584,21 +586,15 @@ class Subgroup:
                 for x in self.sorted_members
             )
 
-        if "normal" not in self._cache:
-            self._cache["normal"] = compute()
-        return self._cache["normal"]
+        return self._memo("normal", compute)
 
     def is_central(self) -> bool:
-        if "central" not in self._cache:
-            self._cache["central"] = self.members <= self.parent.center().members
-        return self._cache["central"]
+        return self._memo("central", lambda: self.members <= self.parent.center().members)
 
     def generators(self) -> tuple[int, ...]:
         """Small generating set for this subgroup (greedy, larger orders
         first)."""
-        if "gens" not in self._cache:
-            self._cache["gens"] = self.parent.greedy_generators(self.sorted_members)
-        return self._cache["gens"]
+        return self._memo("gens", lambda: self.parent.greedy_generators(self.sorted_members))
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """This subgroup as a standalone FiniteGroup, plus the map from
@@ -610,9 +606,7 @@ class Subgroup:
             table = [[pos[t[a][b]] for b in elems] for a in elems]
             return FiniteGroup(table), elems
 
-        if "as_group" not in self._cache:
-            self._cache["as_group"] = compute()
-        return self._cache["as_group"]
+        return self._memo("as_group", compute)
 
     def partition(self, p: int | None = None) -> PPartition:
         """Abelian invariants of this subgroup (must be abelian)."""

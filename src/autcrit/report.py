@@ -119,41 +119,44 @@ def _ids(parts) -> list[int]:
     return [ids.setdefault(q, len(ids)) for q in parts]
 
 
+# A sweep key holds the partition ids ``criteria._nested`` reads and no
+# flag for its one subgroup test, M1 = M2: under the sweep's containment
+# M1 <= M2, a subgroup inside another of equal order is that subgroup.
+# For COR_2_4 and COR_2_5, G/G'Z(G), G/G' and Z(G) are fixed per group.
 def sweep_2_3(g: FiniteGroup):
     """Admissible (M1, N1, M2, N2) tuples: all normal, M_i <= Z(G) and
     M_i <= N_i, M1 <= M2, N2 <= N1; each with the key ``cor_2_3`` reads:
-    the ids of G/G'N1, G/G'N2, M1 and M2, and whether M1 = M2."""
+    the ids of G/G'N1, G/G'N2, M1 and M2."""
     p = g.prime_power()[0]
     normals = g.normal_subgroups()
     zsubs = center_subgroups(g)
     q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
     mp = _ids(m.partition(p) for m in zsubs)
-    # below[j]: each M1 <= M2 = zsubs[j], with its id and whether M1 = M2
-    below = [[(m1, mp[i], i == j) for i, m1 in enumerate(zsubs) if m1.members <= m2.members]
-             for j, m2 in enumerate(zsubs)]
+    # below[j]: each M1 <= M2 = zsubs[j], with its id
+    below = [[(m1, mp[i]) for i, m1 in enumerate(zsubs) if m1.members <= m2.members]
+             for m2 in zsubs]
     for n1, q1 in zip(normals, q):
         for n2, q2 in zip(normals, q):
             if not n2.members <= n1.members:
                 continue
             for j, m2 in enumerate(zsubs):
                 if m2.members <= n2.members:
-                    for m1, mp1, same in below[j]:
-                        yield (m1, n1, m2, n2), (q1, q2, mp1, mp[j], same)
+                    for m1, mp1 in below[j]:
+                        yield (m1, n1, m2, n2), (q1, q2, mp1, mp[j])
 
 
 def sweep_2_45(g: FiniteGroup):
     """Admissible (M, N) pairs with M <= Z(G) <= N, both normal; each with
-    the key ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M, and
-    whether M = Z(G) and N <= G'."""
+    the key ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
     p = g.prime_power()[0]
-    z, d = g.center().members, g.derived_subgroup().members
+    z = g.center().members
     normals = [n for n in g.normal_subgroups() if z <= n.members]
     zsubs = center_subgroups(g)
     q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
-    ms = [(m, i, m.members == z) for m, i in zip(zsubs, _ids(m.partition(p) for m in zsubs))]
+    mp = _ids(m.partition(p) for m in zsubs)
     for n, qn in zip(normals, q):
-        for m, mp, is_z in ms:
-            yield (m, n), (qn, mp, is_z, n.members <= d)
+        for m, mpm in zip(zsubs, mp):
+            yield (m, n), (qn, mpm)
 
 
 # criterion id -> (predicate, tuple sweep or None, argument labels, left

@@ -24,6 +24,12 @@ from autcrit import report as report_mod
 from autcrit.catalog import build_group, cyclic_group, eval_recipe, get_spec
 from autcrit.criteria import (
     COR_2_3,
+    COR_2_6,
+    COR_2_7,
+    COR_2_8,
+    COR_2_9,
+    COR_2_10,
+    THM_2_12,
     CASE_I,
     _hom_sources,
     _hom_targets,
@@ -417,6 +423,40 @@ STRESS_RECIPES = {
     "He3xC3": "product(heisenberg 3, cyclic 3)",
 }
 SWEPT = ((sweep_2_3, cor_2_3), (sweep_2_45, cor_2_4), (sweep_2_45, cor_2_5))
+SINGLE = {cid: row for cid, row in report_mod.CRITERIA.items() if row[1] is None}
+
+# criterion -> its evidence keys on (M16, D8, D16): G' < Z(G), G' = Z(G),
+# and class 3, where COR_2_8 raises (None) and G' is not central
+EVIDENCE_KEYS = {
+    COR_2_6: ({"|G'|", "|Z|"},) * 3,
+    COR_2_7: ({"G/G'Z", "G/G'", "Z", "detail"},) * 3,
+    COR_2_8: ({"G/Z", "G/G'", "G'", "detail"},) * 2 + (None,),
+    COR_2_9: ({"G/Z", "G'", "Z", "detail"},) * 2 + ({"class"},),
+    COR_2_10: ({"G'", "Z", "G/Z", "G/G'", "exp(G')", "var(G/Z,G/G')", "exp(G/Z)",
+                "var(G',Z)"}, {"G'"}, {"class"}),
+    THM_2_12: ({"G/G'", "G'", "Z", "detail"},) * 2 + ({"class"},),
+}
+
+
+class TestSingleGroupCriteria:
+    @pytest.mark.parametrize("name", sorted(STRESS_RECIPES))
+    def test_stress_groups_agree_with_brute_force(self, name):
+        g = eval_recipe(STRESS_RECIPES[name])
+        for cid, (predicate, _, _, left, right) in SINGLE.items():
+            observed = autset_equal(distinguished(g, left), distinguished(g, right))
+            assert predicate(g).predicted_equal == observed, cid
+
+    @pytest.mark.parametrize("i, name", enumerate(("M16", "D8", "D16")))
+    def test_evidence_keys(self, i, name):
+        assert set(EVIDENCE_KEYS) == set(SINGLE)
+        g = by_name(name)
+        for cid, keys in EVIDENCE_KEYS.items():
+            predicate = SINGLE[cid][0]
+            if keys[i] is None:
+                with pytest.raises(ClassNotTwoError):
+                    predicate(g)
+            else:
+                assert set(predicate(g).evidence) == keys[i], cid
 
 
 def keyed_disagreements(g, sweep, predicate, key_of=lambda key: key):
@@ -445,9 +485,8 @@ class TestVerdictKeys:
         for sweep, predicate in SWEPT:
             assert not keyed_disagreements(g, sweep, predicate), predicate
 
-    # Each partition id is needed.  Dropping a flag (M1 = M2, M = Z(G),
-    # N <= G') alone is not caught: under the sweep's containments the
-    # partitions decide it, as a subgroup of another of equal order is it.
+    # Each partition id is needed: a key without any one of them gives
+    # two verdicts on some catalog group.
     @pytest.mark.parametrize("sweep, predicate, key_of", [
         (sweep_2_3, cor_2_3, lambda k: k[:1] + k[2:]),    # without G/G'N2
         (sweep_2_3, cor_2_3, lambda k: k[:3] + k[4:]),    # without M2
