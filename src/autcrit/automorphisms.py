@@ -4,9 +4,10 @@ The engine is one backtracking search over images of a generating
 sequence.  Candidate images are pruned by an automorphism-invariant
 fingerprint (element order, centralizer order, membership in the center
 and the derived subgroup); each partial assignment is extended to the
-subgroup generated so far, checking multiplicativity and injectivity as
-the closure grows, so every completed assignment is a verified
-automorphism by construction.
+subgroup generated so far one left coset of the mapped subgroup at a
+time, checking multiplicativity at each coset representative and
+injectivity at every element, so every completed assignment is a
+verified automorphism by construction.
 
 The result is a group, so the search does not visit each member.  At
 level d it looks, for every candidate image of the d-th generator, for
@@ -246,50 +247,35 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[bytes
     tgens = base_gens + gens  # products are checked against all of these
 
     def extend(img, used, elems, depth, cand):
-        """Assign gens[depth] -> cand and close; returns new state or None."""
-        h = gens[depth]
+        """Assign gens[depth] -> cand and map the subgroup it generates
+        with ``elems``, a left coset r*H of the mapped subgroup H at a
+        time, by r*x -> img(r)*img(x); returns the new state or None.
+
+        As img is a homomorphism on H, it is one on the larger subgroup
+        once img(t*r) = img(t)*img(r) for each active generator t and
+        representative r; ``used`` keeps it injective."""
         img2 = img[:]
         used2 = bytearray(used)
         elems2 = elems[:]
-        if used2[cand]:
-            return None
-        img2[h] = cand
-        used2[cand] = 1
-        elems2.append(h)
-        active = tgens[: len(base_gens) + depth + 1]
-        queue = [h]
-        # products of old elements with the new generator
-        for x in elems:
-            v = table[x][h]
-            w = table[img2[x]][cand]
-            iv = img2[v]
-            if iv == -1:
-                if used2[w]:
-                    return None
-                img2[v] = w
-                used2[w] = 1
-                elems2.append(v)
-                queue.append(v)
-            elif iv != w:
-                return None
-        # close the new elements against every active generator
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            iu = img2[u]
-            for t in active:
-                v = table[u][t]
-                w = table[iu][img2[t]]
-                iv = img2[v]
-                if iv == -1:
-                    if used2[w]:
-                        return None
-                    img2[v] = w
-                    used2[w] = 1
-                    elems2.append(v)
-                    queue.append(v)
-                elif iv != w:
+        active = [(t, img[t]) for t in tgens[: len(base_gens) + depth]]
+        active.append((gens[depth], cand))
+        reps = [0]  # H itself is mapped already
+        for r in reps:  # grows while it is walked
+            ir = img2[r]
+            for t, it in active:
+                v = table[t][r]
+                w = table[it][ir]
+                if img2[v] == -1:  # a new coset v*H
+                    row, irow = table[v], table[w]
+                    for x in elems:
+                        u, iu = row[x], irow[img[x]]
+                        if used2[iu]:
+                            return None
+                        img2[u] = iu
+                        used2[iu] = 1
+                        elems2.append(u)
+                    reps.append(v)
+                elif img2[v] != w:
                     return None
         return img2, used2, elems2
 

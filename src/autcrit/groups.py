@@ -5,7 +5,7 @@ work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
 Light's test on a generating set; everything structural (center, derived
-subgroup, quotients, normal subgroups as closures of conjugacy classes,
+subgroup, quotients, normal subgroups as joins of conjugacy classes,
 abelian invariants) is computed by direct scans and closures over the
 table.  Permutation generators become a table through their Cayley graph.
 
@@ -506,8 +506,9 @@ class FiniteGroup:
 
         A normal subgroup is generated by the conjugacy classes it
         contains, so a breadth-first walk from {0} reaches each one: every
-        step adds one class to a stored class-union seed and takes the
-        closure."""
+        step joins a found N with one class C.  As <N, C> = <C>N, the join
+        is grown a coset vN at a time, one for each new product v = r*c of
+        a representative r and c in C."""
         # checked before the memo lookup, so a cached lattice never bypasses it
         if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
@@ -521,14 +522,22 @@ class FiniteGroup:
             classes = {tuple(sorted({t[t[g][a]][inv[g]] for g in conjugators}))
                        for a in range(1, self.n)}
             found = {frozenset({0})}
-            work = [(frozenset({0}), ())]  # (members, class-union seed)
-            for members, seed in work:  # grows while it is walked, so breadth-first
+            work = [frozenset({0})]
+            for members in work:  # grows while it is walked, so breadth-first
                 for cls in classes:
                     if cls[0] not in members:  # a normal subgroup holds all of it or none
-                        new = self.closure(seed + cls)
+                        join = set(members)
+                        reps = [0]
+                        for r in reps:  # grows while it is walked
+                            for c in cls:
+                                v = t[r][c]
+                                if v not in join:  # a new coset vN
+                                    join.update(t[v][x] for x in members)
+                                    reps.append(v)
+                        new = frozenset(join)
                         if new not in found:
                             found.add(new)
-                            work.append((new, seed + cls))
+                            work.append(new)
             subs = [Subgroup(self, ms) for ms in found]
             subs.sort(key=lambda s: (s.order, s.sorted_members))
             for s in subs:

@@ -162,6 +162,9 @@ def min_generating_size(table):
 def all_subgroups(g):
     """Every subgroup, by closure of growing generator sets.
 
+    ``FiniteGroup.closure`` grows element by element; the library's
+    normal-subgroup lattice joins whole cosets and does not call it.
+
     Deterministic order: by (order, sorted member tuple).
     """
     seen = {frozenset({0}): ()}
@@ -237,7 +240,11 @@ def all_automorphisms(g, upper, fixed):
     its own leaf of a backtracking search over generator images.
 
     It shares the library's generating sequence and fingerprint pools but
-    not its enumeration: nothing here relies on the result being a group."""
+    not its enumeration: nothing here relies on the result being a group.
+    Nor its arithmetic: ``extend`` closes each partial map element by
+    element, multiplying every new element by every active generator,
+    where the library's search maps a whole coset of the already mapped
+    subgroup at a time."""
     n = g.n
     table = g.table
 

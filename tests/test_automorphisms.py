@@ -444,12 +444,18 @@ class TestTransversalSearch:
                     assert _images(aut_upper_lower(g, x, y)) == expected, (name, x.order, y.order)
 
     def test_stress_groups(self):
+        # both groups, so the coset-at-a-time search is checked on a 3-group too
         q, he = (build_group(spec, fresh=True) for spec in STRESS_SPECS)
-        full_q = automorphism_group(q)
-        assert len(full_q) == 12288
-        assert len(automorphism_group(he)) == 23328
-        one = q.trivial_subgroup()
-        assert _images(full_q) == set(all_automorphisms(q, q.full_subgroup(), one))
+        for g, order in ((q, 12288), (he, 23328)):
+            full = automorphism_group(g)
+            assert len(full) == order
+            assert _images(full) == set(all_automorphisms(g, g.full_subgroup(),
+                                                          g.trivial_subgroup()))
+            subs = (g.trivial_subgroup(), g.center(), g.derived_subgroup())
+            for x in subs:
+                for y in subs:
+                    expected = set(all_automorphisms(g, x, y))
+                    assert _images(aut_upper_lower(g, x, y)) == expected, (g.n, x.order, y.order)
 
     def test_products_of_transversals(self):
         # r0 * r1 is r0 after r1: with a = (1 2) and b = (2 3), a * b is
