@@ -22,14 +22,17 @@ uint16 (every order the ingest bound admits is below 2**16).  Equal keys
 are equal maps, so set equality, size and membership read the keys;
 ``Automorphism`` objects are decoded only when ``AutSet.members`` is read.
 
-Every constrained question is one search for Aut^X_Y(G), the
-automorphisms alpha with g^-1 alpha(g) in X for every g that also fix Y
-pointwise, for normal X and Y: ``aut_upper_lower(G, X, Y)`` seeds the
-partial map with the identity on Y, so only a complement of Y is
-searched, and restricts the image of each generator g to the coset gX.
-Aut^X is ``aut_upper_lower(G, X, 1)`` and Aut_Y is
-``aut_upper_lower(G, G, Y)``; the full group is the search with X = G
-and Y = 1.
+Every constrained question is about Aut^X_Y(G), the automorphisms alpha
+with g^-1 alpha(g) in X for every g that also fix Y pointwise, for
+normal X and Y.  ``aut_upper_lower(G, X, Y)`` runs one search per
+(X, X meet Y), memoised on the group: it seeds the partial map with the
+identity on X meet Y, so only a complement of it is searched, and
+restricts the image of each generator g to the coset gX.  Aut^X_Y is
+then the members of that base that fix each generator of Y outside X,
+a generator filter.  For central M <= N, every swept Aut^M_N is a
+filter of the one search for Aut^M_M.  Aut^X is
+``aut_upper_lower(G, X, 1)`` and Aut_Y is ``aut_upper_lower(G, G, Y)``;
+the full group is the search with X = G and Y = 1.
 
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
@@ -362,15 +365,40 @@ def _require_normal(s: Subgroup, role: str) -> None:
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
 
 
+def _restrict(g: FiniteGroup, base: AutSet, checks, name: str) -> AutSet:
+    """The members a of ``base`` with a(x) in ``allowed`` for every
+    (x, allowed) of ``checks``: one pass per point over the surviving
+    rows, through a lookup table of allowed images."""
+    rows = base.rows()
+    for x, allowed in checks:
+        ok = np.zeros(g.n, dtype=bool)
+        ok[allowed] = True
+        rows = rows[ok[rows[:, x]]]
+    return AutSet(g, _keys(g.n, rows), name)
+
+
 def aut_upper_lower(
     g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None
 ) -> AutSet:
     """Aut^X_Y(G): automorphisms alpha with g^-1 alpha(g) in X for every
-    g (those centralizing G/X) that fix Y elementwise, searched directly."""
+    g (those centralizing G/X) that fix Y elementwise.
+
+    One search per (X, X meet Y), memoised on the group: Aut^X_Y lies in
+    Aut^X_(X meet Y), and the points an automorphism fixes form a
+    subgroup, so Aut^X_Y is the members of that base fixing each
+    generator of Y outside X.  When Y <= X the base is the answer."""
     _require_normal(x, "upper")
     _require_normal(y, "lower")
     _check_bound(g, bound)
-    return AutSet(g, _search(g, x, y), UPPER_LOWER_XY)
+    meet = x.members & y.members
+
+    def compute():
+        lower = y if meet == y.members else Subgroup(g, meet)
+        return AutSet(g, _search(g, x, lower), UPPER_LOWER_XY)
+
+    base = g._memo(("aut_upper_lower", x.members, meet), compute)
+    checks = [(t, [t]) for t in y.generators() if t not in meet]
+    return _restrict(g, base, checks, UPPER_LOWER_XY) if checks else base
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
@@ -403,14 +431,7 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
             table = g.table
             checks = [(x, [table[x][k] for k in upper.members])
                       for x in g.generating_sequence()]
-        # one pass per point over the surviving rows, through a lookup
-        # table of allowed images; the first pass drops most
-        rows = base.rows()
-        for x, allowed in checks:
-            ok = np.zeros(g.n, dtype=bool)
-            ok[allowed] = True
-            rows = rows[ok[rows[:, x]]]
-        return AutSet(g, _keys(g.n, rows), which)
+        return _restrict(g, base, checks, which)
 
     return g._memo(key, compute)
 

@@ -2,8 +2,8 @@
 
     autcrit list
     autcrit analyze <name|path>
-    autcrit verify <name|path> [--criterion ID]... [--format text|json]
-    autcrit verify-all [--max-order N] [--p P] [--format text|json]
+    autcrit verify <name|path> [--criterion ID]... [--format text|json] [--strict]
+    autcrit verify-all [--max-order N] [--p P] [--format text|json] [--strict]
     autcrit hom <A> <B>
 
 Group references are catalog names (``autcrit list``) or paths to
@@ -11,8 +11,10 @@ Group references are catalog names (``autcrit list``) or paths to
 ``p^[e1,e2,...]``.  The environment variable AUTCRIT_AUT_BOUND caps the
 order of groups whose automorphisms are enumerated; ``--force`` lifts
 the cap for the given run.  Exit status is nonzero whenever a predicted
-verdict disagrees with brute force, or input validation fails; it is
-141 when the reader of stdout closes the pipe early.
+verdict disagrees with brute force, or input validation fails; with
+``--strict`` it is also 1 when a row was left unconfirmed (its observed
+verdict is null).  It is 141 when the reader of stdout closes the pipe
+early.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+STRICT_HELP = "exit 1 when a row is left unconfirmed (observed null)"
+
+
+def _passed(reports, strict: bool) -> bool:
+    """No mismatch, and under ``strict`` no unconfirmed row either."""
+    return all(r.all_match and not (strict and any(row.observed is None for row in r.rows))
+               for r in reports)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autcrit",
@@ -78,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--force", action="store_true",
                      help="enumerate automorphisms even above the bound")
     p_v.add_argument("--verbose", action="store_true")
+    p_v.add_argument("--strict", action="store_true", help=STRICT_HELP)
     p_v.set_defaults(func=cmd_verify)
 
     p_va = sub.add_parser("verify-all", help="run the whole corpus")
@@ -86,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("--criterion", action="append", default=None)
     p_va.add_argument("--format", choices=("text", "json"), default="text")
     p_va.add_argument("--force", action="store_true")
+    p_va.add_argument("--strict", action="store_true", help=STRICT_HELP)
     p_va.set_defaults(func=cmd_verify_all)
 
     p_hom = sub.add_parser("hom", help="order and type of Hom(A, B)")
@@ -135,13 +148,13 @@ def cmd_verify(args) -> int:
         sys.stdout.write(reports_to_json_lines([report]))
     else:
         print(report_to_text(report, verbose=args.verbose))
-    return 0 if report.all_match else 1
+    return 0 if _passed([report], args.strict) else 1
 
 
 def cmd_verify_all(args) -> int:
     specs = select_specs(max_order=args.max_order, prime=args.p)
     reports = verify_specs(specs, args.criterion, force=args.force)
-    ok = all(r.all_match for r in reports)
+    ok = _passed(reports, args.strict)
     if args.format == "json":
         sys.stdout.write(reports_to_json_lines(reports))
     else:

@@ -330,14 +330,27 @@ class FiniteGroup:
         """Elements of ``pool`` that, with ``start``, generate <start, pool>.
 
         Walks ``pool`` with larger element orders first and keeps each
-        element the kept ones and ``start`` do not yet generate."""
+        element the kept ones and ``start`` do not yet generate.  Keeping
+        a grows the reach R to <R, a> one left coset vR at a time, for
+        each new product v = t*r of a generator t and a representative r."""
         orders = self.element_orders()
+        t = self.table
         gens: list[int] = []
-        reach = self.closure(start)
+        mults = [s for s in start if s != 0]  # start and the kept elements
+        reach = set(self.closure(mults))
         for a in sorted(pool, key=lambda a: (-orders[a], a)):
             if a not in reach:
                 gens.append(a)
-                reach = self.closure(set(start) | set(gens))
+                mults.append(a)
+                old = list(reach)
+                reps = [0]  # R itself
+                for r in reps:  # grows while it is walked
+                    for s in mults:
+                        v = t[s][r]
+                        if v not in reach:  # a new coset vR
+                            row = t[v]
+                            reach.update(row[x] for x in old)
+                            reps.append(v)
         return tuple(gens)
 
     def generating_sequence(self, start=frozenset()) -> tuple[int, ...]:

@@ -184,6 +184,20 @@ def all_subgroups(g):
     return subs
 
 
+def greedy_generators_by_closure(g, pool, start=frozenset()):
+    """``FiniteGroup.greedy_generators`` with its reach reclosed element
+    by element from {0} after each kept element, where the library grows
+    it a coset of the previous reach at a time."""
+    orders = g.element_orders()
+    gens = []
+    reach = g.closure(start)
+    for a in sorted(pool, key=lambda a: (-orders[a], a)):
+        if a not in reach:
+            gens.append(a)
+            reach = g.closure(set(start) | set(gens))
+    return tuple(gens)
+
+
 def unpruned_direct_factor(g):
     """Direct-factor search with no centrality pruning: scan all pairs of
     normal subgroups (A, B) with A nontrivial abelian, A intersecting B

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autcrit import automorphisms
 from autcrit.abelian import hom_order
 from autcrit.automorphisms import (
     Automorphism,
@@ -35,6 +36,7 @@ from autcrit.catalog import (
     quaternion_group,
 )
 from autcrit.groups import FiniteGroup
+from autcrit.report import verify_group
 from autcrit.errors import (
     ConfigError,
     HypothesisViolationError,
@@ -468,3 +470,58 @@ class TestTransversalSearch:
     def test_repeated_representative_raises(self):
         with pytest.raises(InvariantError):
             compose_transversals(3, [[(0, 1, 2), (0, 2, 1), (0, 2, 1)]])
+
+
+class TestUpperLowerBase:
+    """Aut^X_Y is filtered out of one memoised search for Aut^X_(X meet Y)."""
+
+    @staticmethod
+    def _requested_sides(monkeypatch, g, name):
+        """The (X, Y) of every Aut^X_Y that ``verify_group`` asks for."""
+        sides = []
+        real = automorphisms.aut_upper_lower
+
+        def recording(g, x, y, bound=None):
+            sides.append((x, y))
+            return real(g, x, y, bound=bound)
+
+        with monkeypatch.context() as m:
+            m.setattr(automorphisms, "aut_upper_lower", recording)
+            verify_group(name, g)
+        return sides
+
+    def test_matches_direct_search(self, nonabelian_corpus, monkeypatch):
+        for name, g in sorted(nonabelian_corpus.items()):
+            if g.n > 32:
+                continue
+            normals = g.normal_subgroups()
+            for x in normals:
+                # Y from the largest down, so a base is first asked for
+                # with a Y above X meet Y, not with X meet Y itself
+                for y in reversed(normals):
+                    got = aut_upper_lower(g, x, y).keys
+                    assert got == automorphisms._search(g, x, y), (name, x.order, y.order)
+        for spec in STRESS_SPECS:
+            g = build_group(spec, fresh=True)
+            sides = self._requested_sides(monkeypatch, g, spec.name)
+            assert sides
+            for x, y in sides:
+                got = aut_upper_lower(g, x, y).keys
+                assert got == automorphisms._search(g, x, y), (spec.name, x.order, y.order)
+
+    def test_one_search_per_upper_and_meet(self, monkeypatch):
+        searched = {}
+        real = automorphisms._search
+
+        def counting(g, upper, fixed):
+            searched[spec.name].append((upper.members, fixed.members))
+            return real(g, upper, fixed)
+
+        monkeypatch.setattr(automorphisms, "_search", counting)
+        for spec in STRESS_SPECS:
+            searched[spec.name] = []
+            verify_group(spec.name, build_group(spec, fresh=True))
+        # 27 and 6 central subgroups M, each searched once as Aut^M_M,
+        # and the full Aut of each group
+        assert {name: len(s) for name, s in searched.items()} == {"Q8xC4xC2": 28, "He3xC3": 7}
+        assert all(len(set(s)) == len(s) for s in searched.values())

@@ -206,6 +206,17 @@ class TestVerifyAll:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "== 23 groups, 908 rows, 908 skipped, 0 mismatches =="
 
+    def test_strict_fails_on_unconfirmed_rows(self, monkeypatch, capsys):
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", "16")
+        assert cli.main(["verify-all", "--p", "3"]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["verify-all", "--p", "3", "--strict"]) == 1
+        assert capsys.readouterr().out == default
+        # M27 lies above the bound unless forced; Q8 lies inside it
+        assert cli.main(["verify", "M27", "--strict"]) == 1
+        assert cli.main(["verify", "M27", "--strict", "--force"]) == 0
+        assert cli.main(["verify", "Q8", "--strict"]) == 0
+
     def test_empty_selection(self, capsys):
         assert cli.main(["verify-all", "--max-order", "1"]) == 0
         assert "0 groups" in capsys.readouterr().out

@@ -32,6 +32,7 @@ from autcrit.errors import (
 from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
 from oracles import (
     all_subgroups,
+    greedy_generators_by_closure,
     is_associative,
     min_generating_size,
     permutation_table,
@@ -507,6 +508,17 @@ class TestSubgroupEnumeration:
         for name, g in sorted(groups.items()):
             expected = [s for s in all_subgroups(g) if s.is_normal()]
             assert g.normal_subgroups() == expected, name
+
+    def test_greedy_generators_match_closure(self, corpus):
+        # each subgroup's own generators, and a generating sequence of G
+        # over it, as generating_sequence asks for
+        for name, (_, g) in sorted(corpus.items()):
+            if g.n > 64:
+                continue
+            for s in all_subgroups(g):
+                for pool, start in ((s.sorted_members, frozenset()), (range(g.n), s.members)):
+                    expected = greedy_generators_by_closure(g, pool, start)
+                    assert g.greedy_generators(pool, start) == expected, (name, s.order)
 
     def test_normal_subgroups_subset(self):
         g = dihedral_group(8)
