@@ -7,7 +7,11 @@ serialisation, and whole-table validation that proves associativity by
 Light's test on a generating set; everything structural (center, derived
 subgroup, quotients, normal subgroups as joins of conjugacy classes,
 abelian invariants) is computed by direct scans and closures over the
-table.  Permutation generators become a table through their Cayley graph.
+table.  One walk grows every subgroup: ``FiniteGroup.join`` adds a left
+coset of the subgroup so far for each new product of a generator and a
+coset representative, and closure, greedy generator choice and the
+normal-subgroup lattice all call it.  Permutation generators become a
+table through their Cayley graph.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -230,33 +234,39 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def closure(self, seed) -> frozenset[int]:
-        """Subgroup generated by ``seed``: identity plus all products of
-        seed elements (inverses come for free in a finite group)."""
+    def join(self, members, gens) -> frozenset[int]:
+        """<H, gens> for the subgroup H = ``members``, grown one left coset
+        vH at a time, for each new product v = s*r of an s in ``gens`` and
+        a coset representative r.
+
+        The walk ends with <gens>H, which is the join only when ``gens``
+        and H generate it and ``gens`` includes H's generators unless H
+        is normal."""
         t = self.table
-        seed = [s for s in seed if s != 0]
-        members = {0}
-        members.update(seed)
-        work = list(members)
-        while work:
-            u = work.pop()
-            for g in seed:
-                v = t[u][g]
-                if v not in members:
-                    members.add(v)
-                    work.append(v)
-        return frozenset(members)
+        gens = [s for s in gens if s != 0]
+        reach = set(members)
+        coset = itemgetter(0, *reach)  # row v -> vH, a tuple even for H = {0}
+        reps = [0]  # H itself
+        for r in reps:  # grows while it is walked
+            for s in gens:
+                v = t[s][r]
+                if v not in reach:  # a new coset vH
+                    reach.update(coset(t[v]))
+                    reps.append(v)
+        return frozenset(reach)
+
+    def closure(self, seed) -> frozenset[int]:
+        """Subgroup generated by ``seed``: its join with {0}."""
+        return self.join((0,), seed)
 
     def subgroup(self, members) -> "Subgroup":
-        """Wrap an element set as a Subgroup, verifying closure."""
+        """Wrap an element set as a Subgroup, verifying indices and closure."""
         ms = frozenset(int(x) for x in members) | {0}
-        t = self.table
-        for a in ms:
-            for b in ms:
-                if t[a][b] not in ms:
-                    raise NotASubgroupError(
-                        f"set of size {len(ms)} not closed: {a}*{b} escapes"
-                    )
+        bad = [x for x in ms if not 0 <= x < self.n]
+        if bad:
+            raise NotASubgroupError(f"index {min(bad)} outside 0..{self.n - 1}")
+        if self.closure(ms) != ms:
+            raise NotASubgroupError(f"set of size {len(ms)} is not closed")
         return Subgroup(self, ms)
 
     def generated_subgroup(self, seed) -> "Subgroup":
@@ -317,13 +327,12 @@ class FiniteGroup:
         return self._memo("frattini", compute)
 
     def burnside_rank(self) -> int:
-        """Minimal number of generators d(G), via the rank of the
-        elementary abelian quotient G/Phi(G)."""
+        """Minimal number of generators d(G) = log_p |G/Phi(G)|, by
+        Burnside's basis theorem."""
         if self.n == 1:
             return 0
-        p, _ = self.prime_power()
-        q = self.quotient(self.frattini_subgroup()).group
-        pp = prime_power_order(q.n)
+        self.prime_power()  # refuses a non-p-group
+        pp = prime_power_order(self.n // self.frattini_subgroup().order)
         return pp[1] if pp else 0
 
     def greedy_generators(self, pool, start=frozenset()) -> tuple[int, ...]:
@@ -331,26 +340,16 @@ class FiniteGroup:
 
         Walks ``pool`` with larger element orders first and keeps each
         element the kept ones and ``start`` do not yet generate.  Keeping
-        a grows the reach R to <R, a> one left coset vR at a time, for
-        each new product v = t*r of a generator t and a representative r."""
+        a grows the reach R to <R, a> by ``join``."""
         orders = self.element_orders()
-        t = self.table
         gens: list[int] = []
         mults = [s for s in start if s != 0]  # start and the kept elements
-        reach = set(self.closure(mults))
+        reach = self.closure(mults)
         for a in sorted(pool, key=lambda a: (-orders[a], a)):
             if a not in reach:
                 gens.append(a)
                 mults.append(a)
-                old = list(reach)
-                reps = [0]  # R itself
-                for r in reps:  # grows while it is walked
-                    for s in mults:
-                        v = t[s][r]
-                        if v not in reach:  # a new coset vR
-                            row = t[v]
-                            reach.update(row[x] for x in old)
-                            reps.append(v)
+                reach = self.join(reach, mults)
         return tuple(gens)
 
     def generating_sequence(self, start=frozenset()) -> tuple[int, ...]:
@@ -519,9 +518,8 @@ class FiniteGroup:
 
         A normal subgroup is generated by the conjugacy classes it
         contains, so a breadth-first walk from {0} reaches each one: every
-        step joins a found N with one class C.  As <N, C> = <C>N, the join
-        is grown a coset vN at a time, one for each new product v = r*c of
-        a representative r and c in C."""
+        step joins a found N with one class C.  N is normal, so <N, C> =
+        <C>N and ``join`` needs only C as generators."""
         # checked before the memo lookup, so a cached lattice never bypasses it
         if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
@@ -539,15 +537,7 @@ class FiniteGroup:
             for members in work:  # grows while it is walked, so breadth-first
                 for cls in classes:
                     if cls[0] not in members:  # a normal subgroup holds all of it or none
-                        join = set(members)
-                        reps = [0]
-                        for r in reps:  # grows while it is walked
-                            for c in cls:
-                                v = t[r][c]
-                                if v not in join:  # a new coset vN
-                                    join.update(t[v][x] for x in members)
-                                    reps.append(v)
-                        new = frozenset(join)
+                        new = self.join(members, cls)
                         if new not in found:
                             found.add(new)
                             work.append(new)
@@ -652,11 +642,8 @@ def subgroup_product(h: Subgroup, k: Subgroup) -> Subgroup:
     g = h.parent
     t = g.table
     prod = frozenset(t[a][b] for a in h.members for b in k.members)
-    if not (h.is_normal() or k.is_normal()):
-        for a in prod:
-            for b in prod:
-                if t[a][b] not in prod:
-                    raise NotASubgroupError("HK is not a subgroup (neither factor normal)")
+    if not (h.is_normal() or k.is_normal()) and g.closure(prod) != prod:
+        raise NotASubgroupError("HK is not a subgroup (neither factor normal)")
     s = Subgroup(g, prod)
     if h._cache.get("normal") and k._cache.get("normal"):
         s._cache["normal"] = True

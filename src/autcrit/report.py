@@ -195,7 +195,8 @@ def verify_group(
     pp = g.prime_power()
     p = pp[0] if pp else None
     report = Report(name, g.n, p, group_summary(g, p))
-    selected = list(criteria_filter) if criteria_filter else list(CRITERIA)
+    # a repeated id runs once, in first-seen order
+    selected = list(dict.fromkeys(criteria_filter or CRITERIA))
     for c in selected:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion id {c!r}")

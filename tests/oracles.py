@@ -133,37 +133,38 @@ def order_dividing_count_by_factors(p, exps, k):
     return total
 
 
+def closure(table, seed):
+    """Subgroup generated by ``seed``, grown element by element from the
+    raw table: no cosets, so it shares no code with ``FiniteGroup.join``."""
+    seed = list(seed)
+    members = {0, *seed}
+    work = list(members)
+    while work:
+        u = work.pop()
+        for g in seed:
+            v = table[u][g]
+            if v not in members:
+                members.add(v)
+                work.append(v)
+    return frozenset(members)
+
+
 def min_generating_size(table):
     """Smallest size of a generating subset, by raw subset enumeration
-    with an independent closure routine."""
+    with the independent ``closure``."""
     n = len(table)
     if n == 1:
         return 0
-
-    def generates(subset):
-        members = {0, *subset}
-        work = list(members)
-        while work:
-            u = work.pop()
-            for g in subset:
-                v = table[u][g]
-                if v not in members:
-                    members.add(v)
-                    work.append(v)
-        return len(members) == n
-
     for k in range(1, n):
         for combo in combinations(range(1, n), k):
-            if generates(combo):
+            if len(closure(table, combo)) == n:
                 return k
     return n  # unreachable for a real group
 
 
 def all_subgroups(g):
-    """Every subgroup, by closure of growing generator sets.
-
-    ``FiniteGroup.closure`` grows element by element; the library's
-    normal-subgroup lattice joins whole cosets and does not call it.
+    """Every subgroup, by the element-wise ``closure`` of growing
+    generator sets; the library grows subgroups a coset at a time.
 
     Deterministic order: by (order, sorted member tuple).
     """
@@ -175,7 +176,7 @@ def all_subgroups(g):
             if x in members:
                 continue
             new_gens = gens + (x,)
-            new_members = g.closure(new_gens)
+            new_members = closure(g.table, new_gens)
             if new_members not in seen:
                 seen[new_members] = new_gens
                 work.append((new_members, new_gens))
@@ -185,16 +186,16 @@ def all_subgroups(g):
 
 
 def greedy_generators_by_closure(g, pool, start=frozenset()):
-    """``FiniteGroup.greedy_generators`` with its reach reclosed element
-    by element from {0} after each kept element, where the library grows
-    it a coset of the previous reach at a time."""
+    """``FiniteGroup.greedy_generators`` with its reach reclosed by the
+    element-wise ``closure`` from {0} after each kept element, where the
+    library joins a coset of the previous reach at a time."""
     orders = g.element_orders()
     gens = []
-    reach = g.closure(start)
+    reach = closure(g.table, start)
     for a in sorted(pool, key=lambda a: (-orders[a], a)):
         if a not in reach:
             gens.append(a)
-            reach = g.closure(set(start) | set(gens))
+            reach = closure(g.table, [*start, *gens])
     return tuple(gens)
 
 

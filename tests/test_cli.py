@@ -80,6 +80,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "THM_2_12" in out and "predicted=false observed=false" in out
 
+    def test_repeated_criterion_runs_once(self, capsys):
+        args = ["verify", "Q8", "--criterion", "COR_2_6", "--criterion", "THM_2_12",
+                "--criterion", "COR_2_6"]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines[2:]] == ["COR_2_6", "THM_2_12"]
+        assert "predicted=true observed=true" in lines[2]
+        assert cli.main(args + ["--format", "json"]) == 0
+        rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert [r["criterion"] for r in rows] == ["COR_2_6", "THM_2_12"]
+
     def test_abelian_without_filter_is_notice(self, capsys):
         assert cli.main(["verify", "C4"]) == 0
         out = capsys.readouterr().out

@@ -32,6 +32,7 @@ from autcrit.errors import (
 from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
 from oracles import (
     all_subgroups,
+    closure,
     greedy_generators_by_closure,
     is_associative,
     min_generating_size,
@@ -267,6 +268,20 @@ class TestSubgroupProduct:
                 found = True
                 break
         assert found
+
+
+class TestSubgroupRefusal:
+    @pytest.mark.parametrize("members", [[99], [8], [-1], [1, -1]])
+    def test_index_outside_group(self, members):
+        with pytest.raises(NotASubgroupError, match=r"outside 0\.\.7"):
+            quaternion_group(8).subgroup(members)
+
+    def test_not_closed(self):
+        g = quaternion_group(8)
+        x = next(a for a in range(g.n) if g.element_order(a) == 4)
+        with pytest.raises(NotASubgroupError, match="not closed"):
+            g.subgroup({x})
+        assert g.subgroup(g.closure([x])).order == 4
 
 
 class TestQuotient:
@@ -519,6 +534,14 @@ class TestSubgroupEnumeration:
                 for pool, start in ((s.sorted_members, frozenset()), (range(g.n), s.members)):
                     expected = greedy_generators_by_closure(g, pool, start)
                     assert g.greedy_generators(pool, start) == expected, (name, s.order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closure_matches_oracle(self, corpus, data):
+        name = data.draw(st.sampled_from(sorted(corpus)))
+        g = corpus[name][1]
+        seed = data.draw(st.lists(st.integers(0, g.n - 1), max_size=4))
+        assert g.closure(seed) == closure(g.table, seed), (name, seed)
 
     def test_normal_subgroups_subset(self):
         g = dihedral_group(8)
