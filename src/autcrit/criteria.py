@@ -100,17 +100,14 @@ def _require_nonabelian_p_group(g: FiniteGroup) -> int:
 
 
 def mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
-    """Partition of G / (G' N); the quotient is abelian by construction."""
+    """Partition of G / (G' N), abelian as G'N holds G', counted on G's
+    table by ``FiniteGroup.section_partition``; no quotient is built."""
     key = ("mod_derived_part", n.members)
 
     def compute():
-        return _quotient_part(g, subgroup_product(g.derived_subgroup(), n), p)
+        return g.section_partition(g.full_subgroup(), subgroup_product(g.derived_subgroup(), n), p)
 
     return g._memo(key, compute)
-
-
-def _quotient_part(g: FiniteGroup, kernel: Subgroup, p: int) -> PPartition:
-    return g.quotient(kernel).group.abelian_partition(p)
 
 
 def _hom_targets(g: FiniteGroup, a: PPartition, b: PPartition, c: PPartition) -> HomVerdict:
@@ -294,8 +291,8 @@ def cor_2_10(g: FiniteGroup) -> CriterionVerdict:
         return CriterionVerdict(COR_2_10, True, DEGENERATE_EQUALITY, {"G'": "Z(G)"})
     dp = d.partition(p)
     zp = z.partition(p)
-    qz = _quotient_part(g, z, p)
-    q0 = _quotient_part(g, d, p)
+    qz = g.section_partition(g.full_subgroup(), z, p)
+    q0 = g.section_partition(g.full_subgroup(), d, p)
     evidence = {"G'": str(dp), "Z": str(zp), "G/Z": str(qz), "G/G'": str(q0)}
     if rank(dp) != rank(zp) or rank(qz) != rank(q0):
         evidence["ranks"] = (
@@ -347,6 +344,6 @@ def adney_yen_check(g: FiniteGroup) -> bool:
     p = _require_nonabelian_p_group(g)
     if not g.is_purely_nonabelian()[0]:
         raise HypothesisViolationError("stated for purely non-abelian groups")
-    q0 = _quotient_part(g, g.derived_subgroup(), p)
+    q0 = g.section_partition(g.full_subgroup(), g.derived_subgroup(), p)
     zp = g.center().partition(p)
     return len(distinguished(g, CENTRAL)) == hom_order(q0, zp)

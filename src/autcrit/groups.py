@@ -5,13 +5,14 @@ work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
 Light's test on a generating set; everything structural (center, derived
-subgroup, quotients, normal subgroups as joins of conjugacy classes,
-abelian invariants) is computed by direct scans and closures over the
-table.  One walk grows every subgroup: ``FiniteGroup.join`` adds a left
-coset of the subgroup so far for each new product of a generator and a
-coset representative, and closure, greedy generator choice and the
-normal-subgroup lattice all call it.  Permutation generators become a
-table through their Cayley graph.
+subgroup, quotients, normal subgroups as joins of conjugacy classes) is
+computed by scans and closures over the table, and the abelian invariants
+of a section H/K are counted on the parent's table, with no quotient or
+copy built to read them (``section_partition``).  One walk grows every
+subgroup: ``FiniteGroup.join`` adds a left coset of the subgroup so far
+for each new product of a generator and a coset representative, and
+closure, greedy generator choice and the normal-subgroup lattice all call
+it.  Permutation generators become a table through their Cayley graph.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -211,11 +212,7 @@ class FiniteGroup:
         return e
 
     def is_abelian(self) -> bool:
-        def compute():
-            t = self.table
-            return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(a))
-
-        return self._memo("abelian", compute)
+        return self.center().order == self.n
 
     def prime_power(self) -> tuple[int, int] | None:
         """(p, m) for a p-group of order p**m >= 2, None for the trivial group."""
@@ -276,16 +273,14 @@ class FiniteGroup:
         return Subgroup(self, frozenset({0}))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(range(self.n)))
+        return self._memo("full", lambda: Subgroup(self, frozenset(range(self.n))))
 
     def center(self) -> "Subgroup":
+        """Z(G): the elements that commute with each of G's generators."""
         def compute():
-            t = self.table
-            zs = frozenset(
-                a for a in range(self.n)
-                if all(t[a][b] == t[b][a] for b in range(self.n))
-            )
-            s = Subgroup(self, zs)
+            t, gens = self.table, self.full_subgroup().generators()
+            s = Subgroup(self, frozenset(
+                a for a in range(self.n) if all(t[a][b] == t[b][a] for b in gens)))
             s._cache["normal"] = True
             s._cache["central"] = True
             return s
@@ -293,23 +288,22 @@ class FiniteGroup:
         return self._memo("center", compute)
 
     def derived_subgroup(self) -> "Subgroup":
-        def compute():
-            s = self.commutator_with(self.full_subgroup())
-            s._cache["normal"] = True
-            return s
-
-        return self._memo("derived", compute)
+        return self._memo("derived", lambda: self.commutator_with(self.full_subgroup()))
 
     def commutator_with(self, h: "Subgroup") -> "Subgroup":
-        """[G, H]: closure of all commutators [g, h]."""
-        t = self.table
-        inv = self._inv
-        comms = set()
-        for a in range(self.n):
-            ia = inv[a]
-            for b in h.members:
-                comms.add(t[t[ia][inv[b]]][t[a][b]])
-        return Subgroup(self, self.closure(comms))
+        """[G, H] for normal H: the normal closure of the commutators [a, b]
+        of G's generators a and H's generators b.  Their conjugates by G's
+        generators are added until nothing is new, so the closure is normal
+        and is marked so."""
+        t, inv = self.table, self._inv
+        gens = self.full_subgroup().generators()
+        comms = new = {t[t[inv[a]][inv[b]]][t[a][b]] for a in gens for b in h.generators()}
+        while new:
+            new = {t[t[a][x]][inv[a]] for a in gens for x in new} - comms
+            comms |= new
+        s = Subgroup(self, self.closure(comms))
+        s._cache["normal"] = True
+        return s
 
     def agemo(self) -> "Subgroup":
         """Subgroup generated by the p-th powers (p-groups only)."""
@@ -365,7 +359,7 @@ class FiniteGroup:
                 phi = self.frattini_subgroup().members if self.prime_power() else {0}
             except NotPGroupError:
                 phi = {0}
-            return self.greedy_generators(range(self.n), start | phi)
+            return self.greedy_generators(range(self.n), self.greedy_generators(start | phi))
 
         return self._memo(("gens", start), compute)
 
@@ -396,40 +390,47 @@ class FiniteGroup:
 
         return self._memo(key, compute)
 
+    def section_partition(self, h: "Subgroup", k: "Subgroup", p: int | None = None) -> PPartition:
+        """Cyclic decomposition of the abelian p-group H/K, for K <= H normal
+        in H, counted on this group's table: no quotient is built.
+
+        H/K is abelian iff [a, b] lies in K for every pair of H's
+        generators.  The number of x in H with x**(p**j) in K is
+        |K| * p ** sum_i min(j, lambda_i); successive log-differences give
+        the conjugate partition.  A trivial section needs ``p``."""
+        t, inv, kms = self.table, self._inv, k.members
+        gens = h.generators()
+        if any(t[t[inv[a]][inv[b]]][t[a][b]] not in kms for a in gens for b in gens):
+            raise NotAbelianError("the section is not abelian")
+        pp = prime_power_order(h.order // k.order)
+        if pp is None:
+            if p is None:
+                raise NotPGroupError("trivial section: supply the ambient prime")
+            return PPartition(p, ())
+        q, m = pp
+        if p is not None and p != q:
+            raise NotPGroupError(f"section has order {q}**{m}, not a {p}-group")
+        powers = self._memo(("powers", q), lambda: tuple(self.power(x, q) for x in range(self.n)))
+        first = [0] * (m + 1)  # first[j]: the x in H with x**(q**j) in K but no lower power
+        for x in h.members:
+            j = 0
+            while x not in kms:
+                x, j = powers[x], j + 1
+            first[j] += 1
+        # log_q of the count at j over |K|: 0 at j = 0, where the count is |K|
+        logs = [0] + [next(s for s in range(m + 1) if q**s >= sum(first[:j + 1]) // k.order)
+                      for j in range(1, m + 1)]
+        conj = [b - a for a, b in zip(logs, logs[1:])]
+        exps = tuple(sum(1 for d in conj if d >= i) for i in range(1, max(conj) + 1))
+        part = PPartition(q, exps)
+        if part.order * k.order != h.order:
+            raise InvariantError(f"partition {part} does not have order {h.order // k.order}")
+        return part
+
     def abelian_partition(self, p: int | None = None) -> PPartition:
-        """Cyclic decomposition of an abelian p-group, recovered from the
-        counts of solutions of x**(p**k) = e.
-
-        The count at k is p ** sum_i min(k, lambda_i); successive
-        log-differences give the conjugate partition.
-        """
-        def compute():
-            if not self.is_abelian():
-                raise NotAbelianError("abelian_partition needs an abelian group")
-            pp = self.prime_power()
-            if pp is None:
-                if p is None:
-                    raise NotPGroupError("trivial group: supply the ambient prime")
-                return PPartition(p, ())
-            q, m = pp
-            if p is not None and p != q:
-                raise NotPGroupError(f"group has order {q}**{m}, not a {p}-group")
-            orders = self.element_orders()
-            logs = []  # log_q of the number of elements of order <= q**k
-            for k in range(m + 1):
-                count = sum(1 for o in orders if o <= q**k)
-                s = 0
-                while q**s < count:
-                    s += 1
-                logs.append(s)
-            conj = [logs[k] - logs[k - 1] for k in range(1, m + 1)]
-            exps = tuple(sum(1 for d in conj if d >= i) for i in range(1, max(conj) + 1))
-            part = PPartition(q, exps)
-            if part.order != self.n:
-                raise InvariantError(f"partition {part} does not have order {self.n}")
-            return part
-
-        return self._memo(("partition", p), compute)
+        """Cyclic decomposition of an abelian p-group: its section G/1."""
+        return self._memo(("partition", p), lambda: self.section_partition(
+            self.full_subgroup(), self.trivial_subgroup(), p))
 
     def abelian_basis(self) -> list[tuple[int, int]]:
         """Independent cyclic generators of an abelian p-group, as
@@ -469,8 +470,7 @@ class FiniteGroup:
             current = self.full_subgroup()
             cls = 0
             while current.order > 1:
-                # the first step is [G, G], which the derived subgroup memoises
-                nxt = self.commutator_with(current) if cls else self.derived_subgroup()
+                nxt = self.commutator_with(current)
                 if nxt.members == current.members:
                     raise NotNilpotentError("lower central series stabilises above 1")
                 current = nxt
@@ -621,12 +621,14 @@ class Subgroup:
         return self._memo("as_group", compute)
 
     def partition(self, p: int | None = None) -> PPartition:
-        """Abelian invariants of this subgroup (must be abelian)."""
+        """Abelian invariants of this subgroup (must be abelian): the
+        section H/1, counted on the parent's table."""
+        g = self.parent
         if p is None:
-            pp = self.parent.prime_power()
+            pp = g.prime_power()
             p = pp[0] if pp else None
-        g, _ = self.as_group()
-        return g.abelian_partition(p)
+        return self._memo(("partition", p),
+                          lambda: g.section_partition(self, g.trivial_subgroup(), p))
 
 
 def subgroup_product(h: Subgroup, k: Subgroup) -> Subgroup:

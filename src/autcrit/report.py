@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from . import automorphisms as aut
 from . import criteria as crit
 from .catalog import GroupSpec, build_group, catalog
-from .errors import AbelianInputError, ClassNotTwoError, OrderBoundExceededError
-from .groups import FiniteGroup, Subgroup, subgroup_product
+from .errors import AbelianInputError, ClassNotTwoError, NotAbelianError, OrderBoundExceededError
+from .groups import FiniteGroup, Subgroup
 
 
 # The fixed JSON row schema, in output order.  ``Row.note`` (a skip reason)
@@ -92,13 +92,14 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
     summary["|Z|"] = str(z.order)
     summary["Z"] = str(z.partition(p))
     summary["|G'|"] = str(d.order)
-    dg, _ = d.as_group()
-    summary["G'"] = str(dg.abelian_partition(p)) if dg.is_abelian() else "(non-abelian)"
-    summary["G/G'"] = str(g.quotient(d).group.abelian_partition(p))
-    gz = g.quotient(subgroup_product(d, z)).group
-    summary["G/G'Z"] = str(gz.abelian_partition(p))
-    qz = g.quotient(z).group
-    summary["G/Z"] = str(qz.abelian_partition(p)) if qz.is_abelian() else "(non-abelian)"
+    try:  # G' is abelian iff its generators commute
+        summary["G'"] = str(d.partition(p))
+    except NotAbelianError:
+        summary["G'"] = "(non-abelian)"
+    summary["G/G'"] = str(crit.mod_derived_part(g, g.trivial_subgroup(), p))
+    summary["G/G'Z"] = str(crit.mod_derived_part(g, z, p))
+    # G/Z is abelian iff G' <= Z, and then G'Z = Z
+    summary["G/Z"] = summary["G/G'Z"] if d <= z else "(non-abelian)"
     summary["cl"] = str(g.nilpotence_class())
     summary["d"] = str(g.burnside_rank())
     summary["exp"] = str(g.exponent())

@@ -6,6 +6,7 @@ scanning generator images in the target, and searches are raw set scans
 over multiplication tables.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -364,3 +365,57 @@ def distinguished_members(g, which):
                 continue
             members.append(a)
     return frozenset(members)
+
+
+def commutator_subgroup(g, h_members):
+    """[G, H] by a full scan: the element-wise ``closure`` of every
+    commutator [a, b] = a^-1 b^-1 a b with a in G and b in H."""
+    t = g.table
+    inv = [row.index(0) for row in t]
+    return closure(t, {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(g.n) for b in h_members})
+
+
+def _partitions_of(m, cap=None):
+    """Non-increasing tuples of positive integers summing to m."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, cap or m), 0, -1):
+        for rest in _partitions_of(m - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _killed_counts(p, exps, m):
+    counts = order_dividing_counts(p, exps)
+    return tuple(counts.get(k, p**m) for k in range(m + 1))
+
+
+def section_exps(g, h_members, k_members, p):
+    """Exponents of the abelian p-group H/K, or None when H/K is not
+    abelian, by raw table scans: H/K is abelian when every commutator of
+    two members of H lies in K; the order of a coset xK is the least o
+    with x**o in K, found by multiplying by x.  The type is the one whose
+    ``order_dividing_counts`` match the number of cosets killed by each
+    p**k.  Calls neither ``abelian_partition`` nor ``quotient``."""
+    t = g.table
+    inv = [row.index(0) for row in t]
+    hs = sorted(h_members)
+    if any(t[t[inv[a]][inv[b]]][t[a][b]] not in k_members for a in hs for b in hs):
+        return None
+    coset_orders = []
+    for x in hs:
+        y, o = x, 1
+        while y not in k_members:
+            y, o = t[y][x], o + 1
+        coset_orders.append(o)
+    index = len(hs) // len(k_members)
+    m = 0
+    while p**m < index:
+        m += 1
+    assert p**m == index, "H/K is not a p-group"
+    killed = tuple(sum(1 for o in coset_orders if p**k % o == 0) // len(k_members)
+                   for k in range(m + 1))
+    found = [exps for exps in _partitions_of(m) if _killed_counts(p, exps, m) == killed]
+    assert len(found) == 1, found
+    return found[0]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -13,10 +14,16 @@ from autcrit.formats import (
     read_group_file,
     write_cayley_file,
 )
-from autcrit.groups import DEFAULT_INGEST_BOUND
+from autcrit.groups import DEFAULT_INGEST_BOUND, FiniteGroup
+from autcrit.report import group_summary
 
 
 TABLES_GOLDEN = "3d522a52345ce0ae65ce1c6c3e89ab8c168274839443ce3268b7394b0d3fe16d"
+
+# sha256 of one JSON line [name, group_summary] per group: the catalog in
+# its order, then the two stress groups by name.  Pins every invariant of
+# the analyze block and of the report headers across refactors.
+SUMMARY_GOLDEN = "e3806ed69447c49f48e9e0b6eb58e2057c5748d7f0155e59794a2f747a0f367c"
 
 
 def fingerprint(g):
@@ -234,3 +241,27 @@ class TestLoadGroup:
     def test_unknown(self):
         with pytest.raises(GroupFileError):
             load_group("NoSuchGroup")
+
+
+def test_summary_golden(corpus, stress_groups):
+    groups = [(name, g) for name, (_, g) in corpus.items()]
+    groups += sorted(stress_groups.items())
+    lines = []
+    for name, g in groups:
+        pp = g.prime_power()
+        lines.append(json.dumps([name, group_summary(g, pp[0] if pp else None)]))
+    text = "\n".join(lines) + "\n"
+    assert len(lines) == 63
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_GOLDEN
+
+
+def test_summary_non_abelian_derived():
+    # C2 wr C2 wr C2, a Sylow 2-subgroup of S8: no catalog group has a
+    # non-abelian G', and this one (order 16) is read off its generators
+    g = FiniteGroup.from_permutation_generators(
+        [(1, 0, 2, 3, 4, 5, 6, 7), (2, 3, 0, 1, 4, 5, 6, 7), (4, 5, 6, 7, 0, 1, 2, 3)], 8)
+    assert group_summary(g, 2) == {
+        "order": "128", "prime": "2", "abelian": "no", "|Z|": "2", "Z": "2^[1]",
+        "|G'|": "16", "G'": "(non-abelian)", "G/G'": "2^[1,1,1]", "G/G'Z": "2^[1,1,1]",
+        "G/Z": "(non-abelian)", "cl": "4", "d": "3", "exp": "8", "purely_nonabelian": "yes",
+    }

@@ -29,14 +29,17 @@ from autcrit.errors import (
     NotPGroupError,
     OrderBoundExceededError,
 )
+from autcrit.criteria import mod_derived_part
 from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
 from oracles import (
     all_subgroups,
     closure,
+    commutator_subgroup,
     greedy_generators_by_closure,
     is_associative,
     min_generating_size,
     permutation_table,
+    section_exps,
     unpruned_direct_factor,
 )
 
@@ -375,6 +378,36 @@ class TestAbelianPartition:
         with pytest.raises(NotPGroupError):
             cyclic_group(6).abelian_partition()
 
+    def test_wrong_prime(self):
+        with pytest.raises(NotPGroupError):
+            cyclic_group(4).abelian_partition(3)
+        q8 = quaternion_group(8)
+        with pytest.raises(NotPGroupError):
+            q8.section_partition(q8.full_subgroup(), q8.derived_subgroup(), 3)
+        with pytest.raises(NotPGroupError):
+            q8.center().partition(3)
+
+    def test_not_abelian_before_not_p_group(self):
+        with pytest.raises(NotAbelianError):
+            s3().abelian_partition()
+
+    def test_non_abelian_section(self):
+        d16 = dihedral_group(16)
+        with pytest.raises(NotAbelianError):
+            d16.section_partition(d16.full_subgroup(), d16.center())  # G/Z is D8
+        d8 = next(s for s in all_subgroups(d16)
+                  if s.order == 8 and section_exps(d16, s.members, {0}, 2) is None)
+        with pytest.raises(NotAbelianError):
+            d8.partition()
+
+    def test_trivial_section(self):
+        q8 = quaternion_group(8)
+        z = q8.center()
+        with pytest.raises(NotPGroupError):
+            q8.section_partition(z, z)
+        assert q8.section_partition(z, z, 5) == PPartition(5, ())
+        assert q8.trivial_subgroup().partition() == PPartition(2, ())
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_round_trip_all_partitions(self, p):
         for part in partitions_up_to(p, 6):
@@ -581,3 +614,94 @@ class TestCorpusInvariants:
             z = g.center()
             d = g.derived_subgroup()
             assert (cl == 2) == (not g.is_abelian() and d.members <= z.members), name
+
+
+def wreath_c2_c4():
+    """C2 wr C4, generated by (0 1) and (0 2 4 6)(1 3 5 7), order 64.  Its
+    G' and its [G, H] for H of order 32 and 64 are more than the closure of
+    the commutators of generators: they need the conjugation step of
+    ``commutator_with``, which no catalog group exercises."""
+    return FiniteGroup.from_permutation_generators(
+        [(1, 0, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 0, 1)], 8)
+
+
+@pytest.fixture(scope="module")
+def sections_corpus(corpus, stress_groups):
+    """Nontrivial catalog groups in the enumeration bound, and the two
+    stress groups."""
+    groups = {name: g for name, (_, g) in corpus.items() if 1 < g.n <= 128}
+    groups.update(stress_groups)
+    return groups
+
+
+class TestCommutatorsFromGenerators:
+    def test_wreath_needs_conjugates(self):
+        g = wreath_c2_c4()
+        assert g.n == 64
+        t, inv = g.table, [g.inv(a) for a in range(g.n)]
+        gens = g.full_subgroup().generators()
+        comms = {t[t[inv[a]][inv[b]]][t[a][b]] for a in gens for b in gens}
+        assert g.closure(comms) < commutator_subgroup(g, range(g.n))
+        assert g.derived_subgroup().members == commutator_subgroup(g, range(g.n))
+        assert g.derived_subgroup().is_normal()
+        for h in g.normal_subgroups():
+            assert g.commutator_with(h).members == commutator_subgroup(g, h.members), h.order
+
+    def test_catalog_matches_full_scan(self, corpus, sections_corpus):
+        for name, (_, g) in sorted(corpus.items()):
+            assert g.derived_subgroup().members == commutator_subgroup(g, range(g.n)), name
+        for name, g in sorted(sections_corpus.items()):
+            for h in g.normal_subgroups():
+                expected = commutator_subgroup(g, h.members)
+                assert g.commutator_with(h).members == expected, (name, h.order)
+
+    def test_generating_sequence_over_normal(self, corpus):
+        for name, (_, g) in sorted(corpus.items()):
+            if g.n > 64:
+                continue
+            phi = g.frattini_subgroup().members
+            for n in g.normal_subgroups():
+                expected = greedy_generators_by_closure(g, range(g.n), n.members | phi)
+                assert g.generating_sequence(n.members) == expected, (name, n.order)
+
+
+class TestSectionPartition:
+    """Every abelian invariant the criteria and the summary read, counted
+    on the parent's table, against the raw-scan ``section_exps``."""
+
+    def test_mod_derived_parts(self, sections_corpus):
+        for name, g in sorted(sections_corpus.items()):
+            p = g.prime_power()[0]
+            d = g.derived_subgroup()
+            for n in g.normal_subgroups():
+                exps = section_exps(g, range(g.n), subgroup_product(d, n).members, p)
+                assert mod_derived_part(g, n, p) == PPartition(p, exps), (name, n.order)
+
+    def test_central_subgroups(self, sections_corpus):
+        for name, g in sorted(sections_corpus.items()):
+            p = g.prime_power()[0]
+            for m in g.normal_subgroups():
+                if m <= g.center():
+                    exps = section_exps(g, m.members, {0}, p)
+                    assert m.partition(p) == PPartition(p, exps), (name, m.order)
+
+    def test_summary_sections(self, sections_corpus):
+        for name, g in sorted(sections_corpus.items()):
+            if g.is_abelian():
+                continue
+            p = g.prime_power()[0]
+            full, d, z = g.full_subgroup(), g.derived_subgroup(), g.center()
+            exps = section_exps(g, d.members, {0}, p)
+            if exps is None:
+                with pytest.raises(NotAbelianError):
+                    d.partition(p)
+            else:
+                assert d.partition(p) == PPartition(p, exps), name
+            for k in (d, subgroup_product(d, z), z):
+                exps = section_exps(g, range(g.n), k.members, p)
+                if exps is None:
+                    assert g.nilpotence_class() > 2 and k is z, name
+                    with pytest.raises(NotAbelianError):
+                        g.section_partition(full, k, p)
+                else:
+                    assert g.section_partition(full, k, p) == PPartition(p, exps), (name, k.order)
