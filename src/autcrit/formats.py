@@ -2,6 +2,8 @@
 
 Cayley files: a ``cayley n`` header line, then n rows of n 0-based
 indices; the identity may be any element and is swapped to index 0.
+numpy reads the rows into the one n x n integer array that
+``FiniteGroup.from_table`` takes; a non-integer token is a GroupFileError.
 Permutation files: a ``perm d`` header, then one generator per line in
 disjoint-cycle notation over 1..d, e.g. ``(1 2 3 4)(5 6)``; fixed points
 are omitted and ``()`` is the identity.  A header size above the ingest
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+
+import numpy as np
 
 from .errors import GroupFileError, InvalidPermutationError, OrderBoundExceededError
 from . import groups
@@ -83,12 +87,17 @@ def parse_group_text(text: str) -> FiniteGroup:
     if size > bound:
         raise OrderBoundExceededError(f"{header[0]} {size} exceeds bound {bound}")
     if header[0] == "cayley":
-        rows = []
-        for ln in lines[1:]:
-            rows.append([int(t) for t in ln.split()])
+        # np.fromstring reads a sign with no digit after it as 0, or as the
+        # sign of the next number
+        if ("-" in text or "+" in text) and re.search(r"[+-](?![0-9])", text):
+            raise GroupFileError("a table entry is not an integer")
+        try:
+            rows = [np.fromstring(ln, dtype=np.int64, sep=" ") for ln in lines[1:]]
+        except ValueError:
+            raise GroupFileError("a table entry is not an integer") from None
         if len(rows) != size or any(len(r) != size for r in rows):
             raise GroupFileError(f"expected {size} rows of {size} entries")
-        return FiniteGroup.from_table(rows)
+        return FiniteGroup.from_table(np.array(rows))
     gens = [parse_cycles(ln, size) for ln in lines[1:]]
     return FiniteGroup.from_permutation_generators(gens, degree=size)
 

@@ -76,31 +76,30 @@ class FiniteGroup:
     __slots__ = ("n", "table", "_inv", "_cache")
 
     def __init__(self, table):
-        rows = tuple(tuple(map(int, row)) for row in table)
-        self.n = len(rows)
-        self.table = rows
+        arr = _square(table)
+        _validate_table(arr)
+        self.n = len(arr)
+        self.table = tuple(map(tuple, arr.tolist()))
         self._cache: dict = {}
-        _validate_table(rows)
-        inv = [0] * self.n
-        for a in range(self.n):
-            inv[a] = rows[a].index(0)
-        self._inv = tuple(inv)
+        self._inv = tuple(arr.argmin(1).tolist())  # each row holds 0 once
 
     @classmethod
     def from_table(cls, table) -> "FiniteGroup":
-        """Validate an arbitrary Cayley table, relocating the identity to
-        index 0 if needed."""
-        rows = [list(row) for row in table]
-        n = len(rows)
-        e = _find_identity(rows)
-        if e is None:
+        """Validate an arbitrary Cayley table whose identity, if not 0,
+        trades labels with element 0; every other element keeps its own."""
+        arr = _square(table)
+        ar = np.arange(len(arr))
+        found = np.flatnonzero((arr == ar).all(1) & (arr == ar[:, None]).all(0))
+        if not found.size:
             raise NoIdentityError("table has no two-sided identity")
-        if e != 0:
-            swap = list(range(n))
-            swap[0], swap[e] = e, 0
-            # swap is an involution, so it is its own inverse relabelling
-            rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
-        return cls(rows)
+        e = int(found[0])
+        if e:
+            # the swap of 0 and e is its own inverse; entries outside 0..n-1
+            # stay for validation to refuse, where a lookup in it would wrap
+            ar[0], ar[e] = e, 0
+            sub = arr[np.ix_(ar, ar)]
+            arr = np.where(sub == 0, e, np.where(sub == e, 0, sub))
+        return cls(arr)
 
     @classmethod
     def from_permutation_generators(cls, gens, degree: int | None = None) -> "FiniteGroup":
@@ -127,9 +126,7 @@ class FiniteGroup:
         index = {identity: 0}
         right: list[list[int]] = [[] for _ in gens]
         edge = [(0, 0)]
-        i = 0
-        while i < len(elems):
-            u = elems[i]
+        for i, u in enumerate(elems):  # elems grows while it is walked
             for k, g in enumerate(gens):
                 v = tuple(map(u.__getitem__, g))
                 j = index.get(v)
@@ -141,7 +138,6 @@ class FiniteGroup:
                     elems.append(v)
                     edge.append((i, k))
                 right[k].append(j)
-            i += 1
         n = len(elems)
         # int32 halves the transient n x n array at the ingest bound
         rmul = np.array(right, dtype=np.int32)
@@ -150,7 +146,7 @@ class FiniteGroup:
         for j in range(1, n):
             parent, k = edge[j]
             cols[j] = rmul[k, cols[parent]]
-        return cls(cols.T.tolist())
+        return cls(cols.T)
 
     # -- basic operations -------------------------------------------------
 
@@ -384,8 +380,7 @@ class FiniteGroup:
                 reps.append(a)
                 for k in kernel.members:
                     proj[t[a][k]] = c
-            m = len(reps)
-            qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+            qtable = [[proj[t[a][b]] for b in reps] for a in reps]
             return Quotient(self, kernel, FiniteGroup(qtable), tuple(proj))
 
         return self._memo(key, compute)
@@ -550,9 +545,7 @@ class FiniteGroup:
         return self._memo("normal_subgroups", compute)
 
     def to_cayley_text(self) -> str:
-        lines = [f"cayley {self.n}"]
-        lines.extend(" ".join(str(x) for x in row) for row in self.table)
-        return "\n".join(lines) + "\n"
+        return f"cayley {self.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in self.table)
 
 
 class Subgroup:
@@ -672,51 +665,53 @@ class Quotient:
             raise InvariantError("quotient order or projection does not match the kernel")
 
 
-def _find_identity(rows) -> int | None:
-    n = len(rows)
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            return e
-    return None
+def _square(table) -> np.ndarray:
+    """A table as an n x n integer array: an integer ndarray as it is,
+    anything else converted once."""
+    arr = table
+    if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
+        try:
+            arr = np.array(table, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged, or an entry beyond int64
+            raise NotLatinSquareError("table is not n x n over 0..n-1") from None
+    if len(arr) == 0:
+        raise NoIdentityError("empty table")
+    if arr.shape != (len(arr), len(arr)):
+        raise NotLatinSquareError("table is not n x n over 0..n-1")
+    return arr
 
 
-def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
-    """Check that a Cayley table is a group with identity 0.
+def _validate_table(arr: np.ndarray) -> None:
+    """Check that an n x n integer array is a group table with identity 0.
 
     Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x, y
-    are closed under the product, so checking a generating set is enough.
-    Before associativity is known, "generates" must mean closure under the
-    raw binary product (all bracketings), grown semi-naively: each round
-    forms only the products that involve an element the last round added."""
-    n = len(rows)
-    if n == 0:
-        raise NoIdentityError("empty table")
-    arr = np.array(rows, dtype=np.int64)
-    if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
-        raise NotLatinSquareError("table is not n x n over 0..n-1")
-    ident = np.arange(n)
-    if not (np.array_equal(np.sort(arr, axis=1), np.tile(ident, (n, 1)))
-            and np.array_equal(np.sort(arr, axis=0), np.tile(ident[:, None], (1, n)))):
-        raise NotLatinSquareError("a row or column is not a permutation")
-    if not (np.array_equal(arr[0], ident) and np.array_equal(arr[:, 0], ident)):
+    are closed under the product, so checking a generating set is enough."""
+    ident = np.arange(len(arr))
+    # sorted rows and columns equal to 0..n-1 also bound every entry
+    if not ((np.sort(arr, axis=1) == ident).all() and (np.sort(arr, axis=0).T == ident).all()):
+        raise NotLatinSquareError("a row or column is not a permutation of 0..n-1")
+    if not ((arr[0] == ident).all() and (arr[:, 0] == ident).all()):
         raise NoIdentityError("element 0 is not a two-sided identity")
-    gens: list[int] = []
-    closure = {0}
-    while len(closure) < n:
-        gens.append(min(x for x in range(n) if x not in closure))
-        closure.add(gens[-1])
-        fresh = [gens[-1]]
-        while fresh:
-            prods = set()
-            by_closure = itemgetter(*closure)  # closure holds 0 and gens[-1]
-            for a in fresh:
-                prods.update(by_closure(rows[a]))
-                prods.update(rows[b][a] for b in closure)
-            fresh = prods - closure
-            closure |= fresh
-    for g in gens:
-        if not np.array_equal(arr[arr[:, g], :], arr[:, arr[g, :]]):
+    for g in _raw_generators(arr):
+        if not (arr[arr[:, g]] == arr[:, arr[g]]).all():
             raise NotAssociativeError(f"associativity fails through generator {g}")
+
+
+def _raw_generators(arr: np.ndarray) -> list[int]:
+    """Greedy generators of a Latin square with identity 0 for Light's test.
+    Before associativity is known, an element is reached only through raw
+    products (all bracketings) of those before it, added by whole rounds."""
+    gens: list[int] = []
+    inside = np.zeros(len(arr), dtype=bool)
+    inside[0] = True
+    while not inside.all():
+        gens.append(int(inside.argmin()))
+        inside[gens[-1]] = True
+        members = ()
+        while len(members) < np.count_nonzero(inside):  # the last round grew
+            members = np.flatnonzero(inside)
+            inside[arr[members][:, members]] = True
+    return gens
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -724,10 +719,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n = g.n * h.n
     if n > DEFAULT_INGEST_BOUND:
         raise OrderBoundExceededError(f"product order {n} exceeds bound {DEFAULT_INGEST_BOUND}")
-    gt, ht = g.table, h.table
-    table = [
-        [gt[a1][a2] * h.n + ht[b1][b2] for a2 in range(g.n) for b2 in range(h.n)]
-        for a1 in range(g.n)
-        for b1 in range(h.n)
-    ]
-    return FiniteGroup(table)
+    gt, ht = np.array(g.table), np.array(h.table)
+    # axes (a1, b1, a2, b2): row a1 * |H| + b1, column a2 * |H| + b2
+    return FiniteGroup((gt[:, None, :, None] * h.n + ht[None, :, None, :]).reshape(n, n))

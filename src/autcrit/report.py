@@ -39,7 +39,7 @@ JSON_FIELDS = ("group", "order", "prime", "criterion", "predicted", "observed",
                "match", "clause", "elapsed_ms")
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     group: str
     order: int

@@ -17,7 +17,7 @@ from autcrit.automorphisms import (
     _fingerprints,
     automorphism_group,
 )
-from autcrit.errors import InvariantError
+from autcrit.errors import GroupFileError, InvariantError, NoIdentityError
 from autcrit.groups import Subgroup
 
 
@@ -228,6 +228,58 @@ def is_associative(table):
             if list(table[row_a[b]]) != [row_a[x] for x in row_b]:
                 return False
     return True
+
+
+def find_identity(rows):
+    """The first e with rows[e][x] == x == rows[x][e] for every x, by a
+    scan of the nested lists; None when there is none."""
+    n = len(rows)
+    for e in range(n):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
+def cayley_rows(text):
+    """The table of a ``cayley n`` file by the per-token path: int() on
+    every entry, a count of rows and of each row's entries, the identity
+    found by ``find_identity`` and traded with element 0 through a list
+    relabelling.  Errors are raised as that path raised them: a token
+    int() refuses is a bare ValueError, an entry outside 0..n-1 is an
+    IndexError or, when negative, read from the end of the swap."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    size = int(lines[0].split()[1])
+    rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
+    if len(rows) != size or any(len(r) != size for r in rows):
+        raise GroupFileError(f"expected {size} rows of {size} entries")
+    n = len(rows)
+    e = find_identity(rows)
+    if e is None:
+        raise NoIdentityError("table has no two-sided identity")
+    if e != 0:
+        swap = list(range(n))
+        swap[0], swap[e] = e, 0
+        rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
+    return rows
+
+
+def raw_generators(table):
+    """Greedy generators of a Latin square with identity 0 under the raw
+    binary product: each is the least element outside the set that every
+    product of earlier ones, in any bracketing, reaches; the set is grown by
+    scanning all pairs until a scan adds nothing."""
+    n = len(table)
+    gens = []
+    reach = {0}
+    while len(reach) < n:
+        gens.append(min(set(range(n)) - reach))
+        reach.add(gens[-1])
+        while True:
+            new = {table[a][b] for a in reach for b in reach} - reach
+            if not new:
+                break
+            reach |= new
+    return gens
 
 
 def permutation_table(gens, degree):

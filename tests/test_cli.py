@@ -64,6 +64,15 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path)]) == 2
         assert "OrderBoundExceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, error", [("99999999999999999999999", "NotLatinSquareError"),
+                                              ("x", "GroupFileError")])
+    def test_bad_entry(self, tmp_path, capsys, entry, error):
+        # an entry beyond int64 or not an integer: a typed error and status 2
+        path = tmp_path / "bad.cayley"
+        path.write_text(f"cayley 2\n0 1\n1 {entry}\n")
+        assert cli.main(["analyze", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
     def test_unknown(self, capsys):
         assert cli.main(["analyze", "NoSuchGroup"]) == 2
         assert "error" in capsys.readouterr().err

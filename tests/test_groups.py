@@ -1,6 +1,8 @@
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from autcrit.catalog import (
     quaternion_group,
 )
 from autcrit.errors import (
+    GroupFileError,
     InvalidPermutationError,
     NoIdentityError,
     NotAbelianError,
@@ -30,15 +33,18 @@ from autcrit.errors import (
     OrderBoundExceededError,
 )
 from autcrit.criteria import mod_derived_part
-from autcrit.groups import FiniteGroup, Subgroup, direct_product, subgroup_product
+from autcrit.formats import parse_group_text
+from autcrit.groups import FiniteGroup, Subgroup, _raw_generators, direct_product, subgroup_product
 from oracles import (
     all_subgroups,
+    cayley_rows,
     closure,
     commutator_subgroup,
     greedy_generators_by_closure,
     is_associative,
     min_generating_size,
     permutation_table,
+    raw_generators,
     section_exps,
     unpruned_direct_factor,
 )
@@ -103,6 +109,113 @@ class TestFromTable:
             FiniteGroup(table)
 
 
+    @pytest.mark.parametrize("build", [FiniteGroup, FiniteGroup.from_table])
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [1]], [[0, 1], [1, 10**30]], [[0, 1], [1, -10**30]]],
+        ids=["ragged", "oversized", "negative oversized"])
+    def test_ragged_or_oversized(self, build, rows):
+        with pytest.raises(NotLatinSquareError):
+            build(rows)
+
+
+def relabelled_text(table, pi):
+    """Cayley text of ``table`` with element a renamed pi[a]."""
+    n = len(table)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[pi[a]][pi[b]] = pi[table[a][b]]
+    return f"cayley {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def identity_at(pi, e):
+    """``pi`` with two images traded so that the identity 0 is renamed e."""
+    pi = list(pi)
+    j = pi.index(e)
+    pi[0], pi[j] = e, pi[0]
+    return pi
+
+
+def raised(parse, text):
+    """The class of the exception ``parse(text)`` raises, None if none."""
+    try:
+        parse(text)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def oracle_group(text):
+    return FiniteGroup(cayley_rows(text))
+
+
+# (what, text, error of parse_group_text, error of the per-token path or
+# None where it accepted the text).  The two differ only on the last five:
+# the per-token path raised a bare ValueError on a token int() refuses,
+# and with the identity off 0 its list relabelling raised IndexError on an
+# entry >= n and read a negative one from the end of the swap.
+MALFORMED = [
+    ("missing row", "cayley 3\n0 1 2\n1 2 0\n", GroupFileError, GroupFileError),
+    ("extra row", "cayley 2\n0 1\n1 0\n0 1\n", GroupFileError, GroupFileError),
+    ("short row", "cayley 2\n0 1\n1\n", GroupFileError, GroupFileError),
+    ("short and long row", "cayley 2\n0\n1 1 0\n", GroupFileError, GroupFileError),
+    ("negative entry", "cayley 2\n0 1\n1 -1\n", NotLatinSquareError, NotLatinSquareError),
+    ("out-of-range entry", "cayley 2\n0 1\n1 2\n", NotLatinSquareError, NotLatinSquareError),
+    ("out-of-range entry in row 0", "cayley 2\n0 5\n1 0\n", NoIdentityError, NoIdentityError),
+    ("oversized entry", "cayley 2\n0 1\n1 99999999999999999999999\n",
+     NotLatinSquareError, NotLatinSquareError),
+    ("no identity", "cayley 3\n0 1 2\n2 0 1\n1 2 0\n", NoIdentityError, NoIdentityError),
+    ("not Latin", "cayley 2\n0 1\n1 1\n", NotLatinSquareError, NotLatinSquareError),
+    ("not associative", relabelled_text(NONASSOC_5, range(5)),
+     NotAssociativeError, NotAssociativeError),
+    ("not associative, identity at 4", relabelled_text(NONASSOC_5, (4, 1, 2, 3, 0)),
+     NotAssociativeError, NotAssociativeError),
+    ("word entry", "cayley 2\n0 1\n1 x\n", GroupFileError, ValueError),
+    ("decimal entry", "cayley 2\n0 1\n1 0.0\n", GroupFileError, ValueError),
+    ("bare sign", "cayley 2\n0 1\n1 -\n", GroupFileError, ValueError),
+    ("out-of-range entry, identity at 2", "cayley 3\n1 2 0\n2 7 1\n0 1 2\n",
+     NotLatinSquareError, IndexError),
+    ("negative entry, identity at 2", "cayley 3\n1 -1 0\n2 0 1\n0 1 2\n",
+     NotLatinSquareError, None),
+]
+
+
+class TestCayleyIngestAgainstOracle:
+    """parse_group_text against the per-token parse, identity scan and
+    list relabelling of ``oracles.cayley_rows``."""
+
+    def test_every_catalog_group(self, corpus):
+        rng = random.Random(17)
+        for name, (spec, g) in sorted(corpus.items()):
+            for e in sorted({0, g.n - 1, rng.randrange(g.n)}):
+                pi = list(range(g.n))
+                rng.shuffle(pi)
+                text = relabelled_text(g.table, identity_at(pi, e))
+                assert parse_group_text(text).table == oracle_group(text).table, (name, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_relabelling(self, corpus, data):
+        g = corpus[data.draw(st.sampled_from(sorted(corpus)))][1]
+        pi = data.draw(st.permutations(range(g.n)))
+        e = data.draw(st.sampled_from((0, g.n - 1)) | st.integers(0, g.n - 1))
+        text = relabelled_text(g.table, identity_at(pi, e))
+        assert parse_group_text(text).table == oracle_group(text).table
+
+    @pytest.mark.parametrize("what, text, new, old", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_malformed(self, what, text, new, old):
+        assert raised(parse_group_text, text) is new
+        assert raised(oracle_group, text) is old
+
+    def test_plain_int_rows_and_inverses(self, corpus):
+        for name, (spec, g) in sorted(corpus.items()):
+            for h in (g, parse_group_text(g.to_cayley_text()), FiniteGroup(g.table)):
+                assert all(type(x) is int for row in h.table for x in row), name
+                for a in range(h.n):
+                    b = h.inv(a)
+                    assert type(b) is int and h.table[a][b] == 0 == h.table[b][a], (name, a)
+
+
 def intercalates(rows):
     """(a, b, c, d) with rows a < b and columns c < d, none of them 0,
     such that rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]."""
@@ -123,6 +236,9 @@ class TestAssociativityAgainstOracle:
         for name, (spec, g) in sorted(corpus.items()):
             assert is_associative(g.table), name
             assert FiniteGroup(g.table).table == g.table, name
+            if g.n <= 81:
+                # Light's test runs through exactly the greedy raw-product generators
+                assert _raw_generators(np.array(g.table)) == raw_generators(g.table), name
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -140,6 +256,7 @@ class TestAssociativityAgainstOracle:
             a, b, c, d = data.draw(st.sampled_from(spots))
             rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
             rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
+        assert _raw_generators(np.array(rows)) == raw_generators(rows)
         if is_associative(rows):
             FiniteGroup(rows)
         else:
