@@ -17,9 +17,9 @@ a product of one representative per level, and the number of members is
 the product of the transversal sizes.  The products are built as rows of
 one numpy array, one gather per level.
 
-A set stores each member as a packed key: the bytes of its image row as
-uint16 (every order the ingest bound admits is below 2**16).  Equal keys
-are equal maps, so set equality, size and membership read the keys;
+A set is one ``bytes`` object, its members' image rows as uint16 (every
+order the ingest bound admits is below 2**16) sorted as byte strings:
+equality and size read the bytes, membership is a binary search, and
 ``Automorphism`` objects are decoded only when ``AutSet.members`` is read.
 
 Every constrained question is about Aut^X_Y(G), the automorphisms alpha
@@ -66,7 +66,7 @@ from .groups import FiniteGroup, Subgroup
 DEFAULT_AUT_BOUND = 128
 # Largest automorphism set built; |Aut(C2^5)| = 9,999,360 is refused.
 DEFAULT_AUT_MEMBER_BOUND = 250_000
-# One image entry of a packed key; groups.DEFAULT_INGEST_BOUND = 10,000 fits.
+# One image entry of a stored row; groups.DEFAULT_INGEST_BOUND = 10,000 fits.
 KEY_DTYPE = np.uint16
 
 FULL = "FULL"
@@ -132,10 +132,10 @@ class Automorphism:
     def verify(self, group: FiniteGroup) -> bool:
         """Full independent check: bijection fixing 0 that preserves the
         whole multiplication table."""
-        img = np.array(self.images, dtype=np.int64)
         n = group.n
-        if img.shape != (n,) or img[0] != 0 or len(set(self.images)) != n:
+        if len(self.images) != n or self.images[0] != 0 or set(self.images) != set(range(n)):
             return False
+        img = np.array(self.images, dtype=np.int64)
         t = np.array(group.table, dtype=np.int64)
         return bool(np.array_equal(img[t], t[np.ix_(img, img)]))
 
@@ -148,62 +148,67 @@ def _packed(n: int, rows) -> np.ndarray:
     return np.asarray(rows, dtype=KEY_DTYPE).reshape(-1, n)
 
 
-def _keys(n: int, rows) -> list[bytes]:
-    """The packed key of each image row: the bytes of its ``_packed`` entries."""
+def _canonical(n: int, rows) -> np.ndarray:
+    """Image rows of length n sorted as byte strings, as ``AutSet`` stores
+    them; a repeated row raises, as the set would hold it twice."""
     packed = np.ascontiguousarray(_packed(n, rows))
-    return packed.view(f"V{n * packed.itemsize}").ravel().tolist()
+    keys = np.sort(packed.view(f"V{n * packed.itemsize}").ravel())
+    if (keys[1:] == keys[:-1]).any():
+        raise InvariantError(f"a repeated row among {len(keys)} automorphism image rows")
+    return keys.view(KEY_DTYPE).reshape(-1, n)
 
 
 class AutSet:
     """A set of automorphisms of one parent group, tagged by what it is.
 
-    ``keys`` holds one packed key per member (see ``_keys``); ``members``
-    decodes them into ``Automorphism`` objects once, on first use."""
+    ``data`` is the bytes of its image rows in ``_canonical`` order and
+    ``rows`` a read-only view of them; ``members`` decodes them into
+    ``Automorphism`` objects once, on first use."""
 
-    __slots__ = ("parent", "keys", "name", "_members")
+    __slots__ = ("parent", "data", "name", "_members")
 
-    def __init__(self, parent: FiniteGroup, keys, name: str):
+    def __init__(self, parent: FiniteGroup, rows: np.ndarray, name: str):
         self.parent = parent
-        self.keys = frozenset(keys)
+        self.data = rows.tobytes()
         self.name = name
         self._members = None
-        if _keys(parent.n, np.arange(parent.n))[0] not in self.keys:
+        if Automorphism(tuple(range(parent.n))) not in self:
             raise InvariantError(f"{name} automorphism set lacks the identity")
 
+    @property
     def rows(self) -> np.ndarray:
-        """The members' image rows, one per key in ``keys`` order."""
-        return np.frombuffer(b"".join(self.keys), dtype=KEY_DTYPE).reshape(-1, self.parent.n)
+        return np.frombuffer(self.data, dtype=KEY_DTYPE).reshape(-1, self.parent.n)
 
     @property
     def members(self) -> frozenset[Automorphism]:
         """The members as ``Automorphism`` objects, decoded on first use."""
         if self._members is None:
-            self._members = frozenset(Automorphism(tuple(r)) for r in self.rows().tolist())
+            self._members = frozenset(Automorphism(tuple(r)) for r in self.rows.tolist())
         return self._members
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(sorted(self.members, key=lambda a: a.images))
 
     def __contains__(self, a: Automorphism) -> bool:
-        n = self.parent.n
-        return len(a.images) == n and _keys(n, a.images)[0] in self.keys
+        n, img = self.parent.n, a.images
+        # an entry outside 0..n-1 is in no member, and need not fit KEY_DTYPE
+        if len(img) != n or min(img) < 0 or max(img) >= n:
+            return False
+        key = np.array(img, dtype=KEY_DTYPE).view(f"V{n * KEY_DTYPE().itemsize}")
+        i = int(np.frombuffer(self.data, dtype=key.dtype).searchsorted(key)[0]) * key.itemsize
+        return self.data[i:i + key.itemsize] == key.tobytes()
 
     def __repr__(self) -> str:
-        return f"AutSet({self.name}, order={len(self.keys)})"
+        return f"AutSet({self.name}, order={len(self)})"
 
     def verify_closed(self) -> bool:
-        """Check closure under composition and inverses (quadratic; meant
-        for tests)."""
-        for a in self.members:
-            if a.inverse() not in self.members:
-                return False
-            for b in self.members:
-                if a.compose(b) not in self.members:
-                    return False
-        return True
+        """Check closure under composition, which makes a finite set closed
+        under inverses too: a * S is S for every member a (meant for tests)."""
+        rows = self.rows
+        return all(_canonical(self.parent.n, a[rows]).tobytes() == self.data for a in rows)
 
 
 def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
@@ -219,9 +224,9 @@ def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
     return g._memo("aut_fingerprints", compute)
 
 
-def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[bytes]:
-    """The packed keys of all automorphisms fixing ``fixed`` pointwise
-    with generator images in their ``upper`` cosets.
+def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
+    """The ``_canonical`` image rows of all automorphisms fixing ``fixed``
+    pointwise with generator images in their ``upper`` cosets.
 
     With A_d the members that also fix gens[:d], A_d is the disjoint union
     of r * A_(d+1), one r for each image c of gens[d]; each r is the first
@@ -313,16 +318,16 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> frozenset[bytes
     return compose_transversals(n, transversals)
 
 
-def compose_transversals(n: int, transversals) -> frozenset[bytes]:
-    """The packed keys of every product r_0 * r_1 * ... of one image
-    tuple per transversal.
+def compose_transversals(n: int, transversals) -> np.ndarray:
+    """The ``_canonical`` image rows of every product r_0 * r_1 * ... of
+    one image tuple per transversal.
 
     A set above DEFAULT_AUT_MEMBER_BOUND is refused from the transversal
     sizes before any member is built.  The products are the rows of one
     array, extended by one gather per level: row i*k + j of
     ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give distinct
-    products, so fewer keys than the product of the sizes means a repeated
-    representative, which the set would otherwise merge silently."""
+    products, so a repeated row means a repeated representative, which
+    ``_canonical`` refuses."""
     expected = prod(len(reps) for reps in transversals)
     if expected > DEFAULT_AUT_MEMBER_BOUND:
         raise OrderBoundExceededError(f"{expected} automorphisms exceed member bound "
@@ -330,12 +335,7 @@ def compose_transversals(n: int, transversals) -> frozenset[bytes]:
     partial = _packed(n, np.arange(n))
     for reps in transversals:
         partial = partial[:, _packed(n, reps)].reshape(-1, n)
-    keys = frozenset(_keys(n, partial))
-    if len(keys) != expected:
-        raise InvariantError(
-            f"{len(keys)} automorphisms from transversals of product size {expected}"
-        )
-    return keys
+    return _canonical(n, partial)
 
 
 def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
@@ -349,13 +349,12 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
 
 
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
-    """Conjugation maps; there are |G| / |Z(G)| of them."""
+    """Conjugation maps, one per coset aZ(G); there are |G| / |Z(G)| of them."""
     def compute():
-        rows = [[g.conjugate(a, x) for x in range(g.n)] for a in range(g.n)]
-        s = AutSet(g, _keys(g.n, rows), INN)
-        if len(s) * g.center().order != g.n:
-            raise InvariantError(f"{len(s)} inner automorphisms for |Z(G)| = {g.center().order}")
-        return s
+        z = g.center().members
+        reps = {min(row[k] for k in z) for row in g.table}  # the least element of aZ(G)
+        rows = [[g.conjugate(a, x) for x in range(g.n)] for a in reps]
+        return AutSet(g, _canonical(g.n, rows), INN)
 
     return g._memo("aut_inn", compute)
 
@@ -368,13 +367,13 @@ def _require_normal(s: Subgroup, role: str) -> None:
 def _restrict(g: FiniteGroup, base: AutSet, checks, name: str) -> AutSet:
     """The members a of ``base`` with a(x) in ``allowed`` for every
     (x, allowed) of ``checks``: one pass per point over the surviving
-    rows, through a lookup table of allowed images."""
-    rows = base.rows()
+    rows, by a lookup table of allowed images; a mask keeps their order."""
+    rows = base.rows
     for x, allowed in checks:
         ok = np.zeros(g.n, dtype=bool)
         ok[allowed] = True
         rows = rows[ok[rows[:, x]]]
-    return AutSet(g, _keys(g.n, rows), name)
+    return AutSet(g, rows, name)
 
 
 def aut_upper_lower(
@@ -494,12 +493,12 @@ def hom_construct_auts(g: FiniteGroup, x: Subgroup, y: Subgroup) -> AutSet:
     the corresponding partitions.
     """
     pairs = hom_automorphism_pairs(g, x, y)
-    return AutSet(g, _keys(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
+    return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
 
 
 def autset_equal(s1: AutSet, s2: AutSet) -> bool:
-    """Set equality of members, read on the packed keys (equal keys are
-    equal maps); the parents must be the same group."""
+    """Set equality of members, read on ``data`` (equal sets have equal
+    sorted rows); the parents must be the same group."""
     if s1.parent is not s2.parent and s1.parent.table != s2.parent.table:
         raise ParentMismatchError("automorphism sets over different groups")
-    return s1.keys == s2.keys
+    return s1.data == s2.data

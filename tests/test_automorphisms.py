@@ -1,6 +1,5 @@
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from autcrit.automorphisms import (
     DEFAULT_AUT_BOUND,
     IA,
     IA_STAR,
-    KEY_DTYPE,
     aut_bound,
     aut_upper_lower,
     automorphism_group,
@@ -88,6 +86,12 @@ class TestAutomorphismGroup:
     def test_every_member_verifies(self, q8):
         full = automorphism_group(q8)
         assert all(a.verify(q8) for a in full.members)
+
+    def test_verify_rejects_images_outside_the_group(self):
+        c3 = cyclic_group(3)
+        assert Automorphism((0, 2, 1)).verify(c3)
+        assert not Automorphism((0, 5, 1)).verify(c3)
+        assert not Automorphism((0, -1, -2)).verify(c3)
 
     def test_closed(self, q8):
         assert automorphism_group(q8).verify_closed()
@@ -365,8 +369,8 @@ class TestAutSetBasics:
 
 
 class TestPackedSets:
-    """Each set is a frozenset of packed keys: the bytes of one member's
-    image row as KEY_DTYPE."""
+    """Each set is the bytes of its members' image rows as KEY_DTYPE,
+    sorted as byte strings."""
 
     def test_cyclic_512_is_the_odd_multipliers(self):
         # entries reach 511, so a key narrower than two bytes would merge
@@ -382,12 +386,22 @@ class TestPackedSets:
             moves_identity = Automorphism(tuple(range(1, g.n)) + (0,))
             normals = g.normal_subgroups()
             by_members: dict[frozenset, list] = {}
+            built = [full, inner_automorphisms(g)]
+            built += [distinguished(g, tag) for tag in (CENTRAL, C_STAR, IA, IA_STAR)]
             for x in normals:
                 for y in normals:
                     s = aut_upper_lower(g, x, y)
                     assert all(a in s for a in s.members), (name, x.order, y.order)
                     assert moves_identity not in s
                     by_members.setdefault(s.members, []).append(s)
+                    built.append(s)
+                    if x.is_central() and x <= y:
+                        hom = hom_construct_auts(g, x, y)
+                        assert hom.members == s.members, (name, x.order, y.order)
+                        assert hom.data == s.data, (name, x.order, y.order)
+                        built.append(hom)
+            for s in built:
+                assert s.data == automorphisms._canonical(g.n, s.rows).tobytes(), (name, s)
             firsts = [same[0] for same in by_members.values()]
             for members, same in by_members.items():
                 assert all(autset_equal(same[0], s) for s in same), name
@@ -395,6 +409,10 @@ class TestPackedSets:
                 assert not outside or next(iter(outside)) not in same[0], name
             for i, s in enumerate(firsts):
                 assert not any(autset_equal(s, t) for t in firsts[i + 1:]), name
+
+    @pytest.mark.parametrize("entry", [-1, 65537, 5])
+    def test_entry_outside_the_group_is_no_member(self, entry):
+        assert Automorphism((0, entry)) not in automorphism_group(cyclic_group(2))
 
     def test_order_past_key_range_raises(self):
         # 2**16 entries still fit uint16; one more must not be truncated
@@ -416,8 +434,8 @@ def _images(autset):
     return {a.images for a in autset.members}
 
 
-def _decoded(keys):
-    return {tuple(np.frombuffer(k, dtype=KEY_DTYPE).tolist()) for k in keys}
+def _decoded(rows):
+    return {tuple(r) for r in rows.tolist()}
 
 
 class TestTransversalSearch:
@@ -499,15 +517,17 @@ class TestUpperLowerBase:
                 # Y from the largest down, so a base is first asked for
                 # with a Y above X meet Y, not with X meet Y itself
                 for y in reversed(normals):
-                    got = aut_upper_lower(g, x, y).keys
-                    assert got == automorphisms._search(g, x, y), (name, x.order, y.order)
+                    got = aut_upper_lower(g, x, y).data
+                    want = automorphisms._search(g, x, y).tobytes()
+                    assert got == want, (name, x.order, y.order)
         for spec in STRESS_SPECS:
             g = build_group(spec, fresh=True)
             sides = self._requested_sides(monkeypatch, g, spec.name)
             assert sides
             for x, y in sides:
-                got = aut_upper_lower(g, x, y).keys
-                assert got == automorphisms._search(g, x, y), (spec.name, x.order, y.order)
+                got = aut_upper_lower(g, x, y).data
+                want = automorphisms._search(g, x, y).tobytes()
+                assert got == want, (spec.name, x.order, y.order)
 
     def test_one_search_per_upper_and_meet(self, monkeypatch):
         searched = {}
