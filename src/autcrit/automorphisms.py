@@ -10,12 +10,15 @@ injectivity at every element, so every completed assignment is a
 verified automorphism by construction.
 
 The result is a group, so the search does not visit each member.  At
-level d it looks, for every candidate image of the d-th generator, for
-one completed assignment that fixes the earlier generators (a
+level d it needs, for every image of the d-th generator h that a member
+fixing the earlier generators reaches, one such member (a
 stabiliser-chain transversal, by orbit-stabiliser); every member is then
 a product of one representative per level, and the number of members is
-the product of the transversal sizes.  The products are built as rows of
-one numpy array, one gather per level.
+the product of the transversal sizes.  With the levels walked from the
+deepest up, each representative found so far maps the images of h
+reached, and the candidates refuted, onto more of the same, so one
+assignment is searched per orbit, not per candidate.  The products are
+built as rows of one numpy array, one gather per level.
 
 A set is one ``bytes`` object, its members' image rows as uint16 (every
 order the ingest bound admits is below 2**16) sorted as byte strings:
@@ -229,9 +232,13 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
     pointwise with generator images in their ``upper`` cosets.
 
     With A_d the members that also fix gens[:d], A_d is the disjoint union
-    of r * A_(d+1), one r for each image c of gens[d]; each r is the first
-    completed assignment below gens[:d] -> themselves, gens[d] -> c.  The
-    members are then the products of one r per level."""
+    of r * A_(d+1), one r for each image c of h = gens[d]; the members are
+    the products of one r per level.  The levels are walked from the
+    deepest up.  Each representative found so far lies in A_d, so it maps
+    the orbit of h, and the rest of the pool, onto itself: it takes
+    c = a(h) to r(c) = (r a)(h), and a candidate with no completion to
+    another.  The first completed assignment below gens[:d] ->
+    themselves, h -> c is searched only for a c reached neither way."""
     n = g.n
     table = g.table
 
@@ -301,20 +308,40 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
                     return found
         return None
 
-    transversals = []
-    state = (img0, used0, base_members[:])
+    def close(known, members, pool, h):
+        """Close ``known`` under ``members``: a point a(h) goes to
+        r(a(h)) = (r a)(h), recorded with r a, or with None where a is."""
+        queue = list(known)
+        for c in queue:  # grows while it is walked
+            a = known[c]
+            for r in members:
+                p = r[c]
+                if p not in known:
+                    ra = a and tuple(map(r.__getitem__, a))
+                    if p not in pool or (ra and ra[h] != p):
+                        raise InvariantError(f"orbit of {h}: {p} is off its pool or member")
+                    known[p] = ra
+                    queue.append(p)
+
+    # the identity's state at every level, then the levels from the deepest
+    states = [(img0, used0, base_members[:])]
     for depth, h in enumerate(gens):
-        reps = [tuple(range(n))]  # the identity is the representative for h
+        states.append(extend(*states[-1], depth, h))
+    transversals, members = [], []
+    for depth in reversed(range(len(gens))):
+        h, pool = gens[depth], set(pools[depth])
+        # each pool point known so far: a member taking h there, or None
+        # for a candidate proven to have no completion
+        known = {h: tuple(range(n))}
         for cand in pools[depth]:
-            if cand == h:
-                continue
-            below = extend(*state, depth, cand)
-            if below is not None:
-                rep = first(*below, depth + 1)
+            if cand not in known:
+                below = extend(*states[depth], depth, cand)
+                rep = known[cand] = below and first(*below, depth + 1)
                 if rep is not None:
-                    reps.append(rep)
-        transversals.append(reps)
-        state = extend(*state, depth, h)
+                    members.append(rep)
+                if len(known) < len(pool):  # a candidate is still open
+                    close(known, members, pool, h)
+        transversals.insert(0, [a for a in known.values() if a is not None])
     return compose_transversals(n, transversals)
 
 

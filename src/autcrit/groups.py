@@ -178,15 +178,15 @@ class FiniteGroup:
 
     def element_orders(self) -> tuple[int, ...]:
         def compute():
-            t = self.table
-            orders = [0] * self.n
-            for a in range(self.n):
-                x = a
-                k = 1
-                while x != 0:
-                    x = t[x][a]
-                    k += 1
-                orders[a] = k
+            # one walk a, a^2, ..., a^m = 1 finds m; a second sets order(a^j) = m / gcd(j, m)
+            t, orders = self.table, [1] + [0] * (self.n - 1)
+            for a in range(1, self.n):
+                if not orders[a]:
+                    row, x, m = t[a], a, 1
+                    while x:
+                        x, m = row[x], m + 1
+                    for j in range(1, m):
+                        orders[x := row[x]] = m // gcd(j, m)
             return tuple(orders)
 
         return self._memo("orders", compute)

@@ -303,16 +303,12 @@ def permutation_table(gens, degree):
     ]
 
 
-def all_automorphisms(g, upper, fixed):
-    """Sorted image tuples of Aut^upper_fixed(G), every member reached as
-    its own leaf of a backtracking search over generator images.
-
-    It shares the library's generating sequence and fingerprint pools but
-    not its enumeration: nothing here relies on the result being a group.
-    Nor its arithmetic: ``extend`` closes each partial map element by
-    element, multiplying every new element by every active generator,
-    where the library's search maps a whole coset of the already mapped
-    subgroup at a time."""
+def _search_parts(g, upper, fixed):
+    """The library's generating sequence, fingerprint pools and seed state
+    for Aut^upper_fixed(G), with an element-wise ``extend`` of its own:
+    it closes each partial map element by element, multiplying every new
+    element by every active generator, where the library's search maps a
+    whole coset of the already mapped subgroup at a time."""
     n = g.n
     table = g.table
 
@@ -334,7 +330,6 @@ def all_automorphisms(g, upper, fixed):
         pools.append([c for c in range(n) if prints[c] == prints[h] and c in coset])
 
     tgens = base_gens + gens  # products are checked against all of these
-    results: list[tuple[int, ...]] = []
 
     def extend(img, used, elems, depth, cand):
         """Assign gens[depth] -> cand and close; returns new state or None."""
@@ -384,10 +379,23 @@ def all_automorphisms(g, upper, fixed):
                     return None
         return img2, used2, elems2
 
+    return gens, pools, (img0, used0, base_members[:]), extend
+
+
+def all_automorphisms(g, upper, fixed):
+    """Sorted image tuples of Aut^upper_fixed(G), every member reached as
+    its own leaf of a backtracking search over generator images.
+
+    It shares the library's generating sequence and fingerprint pools but
+    not its enumeration: nothing here relies on the result being a group.
+    Nor its arithmetic (``_search_parts``)."""
+    gens, pools, state0, extend = _search_parts(g, upper, fixed)
+    results: list[tuple[int, ...]] = []
+
     def dfs(img, used, elems, depth):
         if depth == len(gens):
-            if len(elems) != n:
-                raise InvariantError(f"generator images reach {len(elems)} of {n} elements")
+            if len(elems) != g.n:
+                raise InvariantError(f"generator images reach {len(elems)} of {g.n} elements")
             results.append(tuple(img))
             return
         for cand in pools[depth]:
@@ -395,9 +403,53 @@ def all_automorphisms(g, upper, fixed):
             if state is not None:
                 dfs(state[0], state[1], state[2], depth + 1)
 
-    dfs(img0, used0, base_members[:], 0)
+    dfs(*state0, 0)
     results.sort()
     return results
+
+
+def transversals_by_candidate(g, upper, fixed):
+    """Per level d of the library's generating sequence, one image tuple
+    for each image of gens[d] that some member fixing gens[:d] reaches:
+    the identity, then the first completion found for every other
+    candidate in the pool, each searched on its own with no orbit
+    argument."""
+    gens, pools, state, extend = _search_parts(g, upper, fixed)
+
+    def first(img, used, elems, depth):
+        if depth == len(gens):
+            return tuple(img)
+        for cand in pools[depth]:
+            below = extend(img, used, elems, depth, cand)
+            found = below and first(*below, depth + 1)
+            if found:
+                return found
+        return None
+
+    transversals = []
+    for depth, h in enumerate(gens):
+        reps = [tuple(range(g.n))]
+        for cand in pools[depth]:
+            below = None if cand == h else extend(*state, depth, cand)
+            rep = below and first(*below, depth + 1)
+            if rep:
+                reps.append(rep)
+        transversals.append(reps)
+        state = extend(*state, depth, h)
+    return transversals
+
+
+def element_orders_by_powers(g):
+    """The order of every element, by walking each element's own powers
+    up to the identity."""
+    orders = []
+    for a in range(g.n):
+        x, k = a, 1
+        while x != 0:
+            x = g.table[x][a]
+            k += 1
+        orders.append(k)
+    return tuple(orders)
 
 
 def distinguished_members(g, which):

@@ -1,4 +1,5 @@
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from autcrit.automorphisms import (
     C_STAR,
     CENTRAL,
     DEFAULT_AUT_BOUND,
+    DEFAULT_AUT_MEMBER_BOUND,
     IA,
     IA_STAR,
     aut_bound,
@@ -30,6 +32,7 @@ from autcrit.catalog import (
     catalog,
     cyclic_group,
     dihedral_group,
+    eval_recipe,
     get_spec,
     quaternion_group,
 )
@@ -42,7 +45,7 @@ from autcrit.errors import (
     OrderBoundExceededError,
     ParentMismatchError,
 )
-from oracles import all_automorphisms, distinguished_members
+from oracles import all_automorphisms, distinguished_members, transversals_by_candidate
 
 
 STRESS_SPECS = (
@@ -488,6 +491,79 @@ class TestTransversalSearch:
     def test_repeated_representative_raises(self):
         with pytest.raises(InvariantError):
             compose_transversals(3, [[(0, 1, 2), (0, 2, 1), (0, 2, 1)]])
+
+
+def _orbits(g, fixed, transversals):
+    """Per level, the sorted images of that level's generator."""
+    gens = g.generating_sequence(fixed.members)
+    return [sorted(rep[h] for rep in reps) for h, reps in zip(gens, transversals)]
+
+
+def _search_transversals(monkeypatch, g, upper, fixed):
+    """``_search``'s rows and the transversals it composed them from; a set
+    above the member bound is not composed, and its rows are None."""
+    seen = []
+    real = automorphisms.compose_transversals
+
+    def recording(n, transversals):
+        seen.append(transversals)
+        if prod(len(reps) for reps in transversals) > DEFAULT_AUT_MEMBER_BOUND:
+            return None
+        return real(n, transversals)
+
+    with monkeypatch.context() as m:
+        m.setattr(automorphisms, "compose_transversals", recording)
+        rows = automorphisms._search(g, upper, fixed)
+    return rows, seen[0]
+
+
+class TestOrbitTransversals:
+    """The search proves one candidate per orbit, deepest level first; the
+    oracle searches every candidate of every level on its own."""
+
+    @staticmethod
+    def _bases(monkeypatch, name, g):
+        """(upper, fixed) for the full Aut, (Z, 1), (Z, Z), (G', 1) and
+        every search ``verify_group`` runs on a fresh copy of g."""
+        one, z, d = g.trivial_subgroup(), g.center(), g.derived_subgroup()
+        bases = [(g.full_subgroup(), one), (z, one), (z, z), (d, one)]
+        real = automorphisms._search
+
+        def recording(g, upper, fixed):
+            bases.append((upper, fixed))
+            return real(g, upper, fixed)
+
+        with monkeypatch.context() as m:
+            m.setattr(automorphisms, "_search", recording)
+            verify_group(name, g)
+        return {(x.members, y.members): (x, y) for x, y in bases}.values()
+
+    def test_matches_candidate_search(self, monkeypatch):
+        specs = [spec for spec in catalog() if build_group(spec).n <= 128]
+        checked = 0
+        for spec in specs + list(STRESS_SPECS):
+            g = build_group(spec, fresh=True)
+            for x, y in self._bases(monkeypatch, spec.name, g):
+                rows, got = _search_transversals(monkeypatch, g, x, y)
+                want = transversals_by_candidate(g, x, y)
+                assert _orbits(g, y, got) == _orbits(g, y, want), (spec.name, x.order, y.order)
+                if rows is not None:
+                    assert rows.tobytes() == compose_transversals(g.n, want).tobytes()
+                checked += 1
+        assert checked > 250  # 281 distinct bases
+
+    @pytest.mark.parametrize("recipe, sizes", [
+        ("product(quaternion 8, abelian 2 2 2)", [24, 16, 24, 16]),
+        ("metacyclic 27 9 4", [54, 9]),
+        # |Aut| = 2,064,384, above the member bound
+        ("product(quaternion 8, abelian 2 1 1 1)", [48, 14, 12, 8, 32]),
+    ])
+    def test_large_groups_transversal_sizes(self, monkeypatch, recipe, sizes):
+        g = eval_recipe(recipe)
+        full, one = g.full_subgroup(), g.trivial_subgroup()
+        _, got = _search_transversals(monkeypatch, g, full, one)
+        assert [len(reps) for reps in got] == sizes
+        assert _orbits(g, one, got) == _orbits(g, one, transversals_by_candidate(g, full, one))
 
 
 class TestUpperLowerBase:

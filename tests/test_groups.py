@@ -35,11 +35,13 @@ from autcrit.errors import (
 from autcrit.criteria import mod_derived_part
 from autcrit.formats import parse_group_text
 from autcrit.groups import FiniteGroup, Subgroup, _raw_generators, direct_product, subgroup_product
+from autcrit.report import group_summary
 from oracles import (
     all_subgroups,
     cayley_rows,
     closure,
     commutator_subgroup,
+    element_orders_by_powers,
     greedy_generators_by_closure,
     is_associative,
     min_generating_size,
@@ -452,7 +454,15 @@ class TestQuotient:
         "HomVerdict(True, 'UNEQUAL')\n",
         "from autcrit.automorphisms import compose_transversals\n"
         "compose_transversals(2, [[(0, 1), (0, 1)]])\n",
-    ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals"])
+        # a print that sets element 3 apart is not automorphism-invariant,
+        # so an orbit closure leaves that element's pool
+        "from autcrit import automorphisms\n"
+        "from autcrit.catalog import quaternion_group\n"
+        "g, real = quaternion_group(8), automorphisms._fingerprints\n"
+        "automorphisms._fingerprints = lambda g: [(p, x == 3) for x, p in enumerate(real(g))]\n"
+        "automorphisms._search(g, g.full_subgroup(), g.trivial_subgroup())\n",
+    ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
+            "orbit_closure"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
@@ -575,6 +585,27 @@ class TestClassExponentRank:
             if g.n > 32:
                 continue
             assert g.burnside_rank() == min_generating_size(g.table), name
+
+    def test_element_orders_match_power_walk(self, corpus, stress_groups, monkeypatch):
+        # one walk per cyclic subgroup against one walk per element, also
+        # on S3 (not a p-group) and on every quotient group_summary reads;
+        # fresh copies, so no memo hides a quotient
+        groups = [FiniteGroup(g.table) for _, g in corpus.values()]
+        groups += [FiniteGroup(g.table) for g in stress_groups.values()]
+        quotients = []
+        real = FiniteGroup.quotient
+
+        def recording(self, kernel):
+            q = real(self, kernel)
+            quotients.append(q.group)
+            return q
+
+        monkeypatch.setattr(FiniteGroup, "quotient", recording)
+        for g in groups:
+            group_summary(g, g.prime_power()[0] if g.n > 1 else None)
+        assert quotients
+        for g in groups + quotients + [s3()]:
+            assert g.element_orders() == element_orders_by_powers(g), g.n
 
 
 class TestPurelyNonabelian:
