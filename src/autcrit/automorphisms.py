@@ -32,10 +32,10 @@ normal X and Y.  ``aut_upper_lower(G, X, Y)`` runs one search per
 identity on X meet Y, so only a complement of it is searched, and
 restricts the image of each generator g to the coset gX.  Aut^X_Y is
 then the members of that base that fix each generator of Y outside X,
-a generator filter.  For central M <= N, every swept Aut^M_N is a
-filter of the one search for Aut^M_M.  Aut^X is
-``aut_upper_lower(G, X, 1)`` and Aut_Y is ``aut_upper_lower(G, G, Y)``;
-the full group is the search with X = G and Y = 1.
+a generator filter, which ``aut_order`` counts with no set built: every
+swept Aut^M_N, M <= N central, is such a count on the one search for
+Aut^M_M.  Aut^X is ``aut_upper_lower(G, X, 1)`` and Aut_Y is
+``aut_upper_lower(G, G, Y)``; the full group is X = G and Y = 1.
 
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
@@ -323,12 +323,14 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
                     known[p] = ra
                     queue.append(p)
 
-    # the identity's state at every level, then the levels from the deepest
+    # the levels with a candidate besides h, and the identity's state at
+    # each down to the deepest of them; the others keep the identity alone
+    searched = [depth for depth, pool in enumerate(pools) if len(pool) > 1]
     states = [(img0, used0, base_members[:])]
-    for depth, h in enumerate(gens):
-        states.append(extend(*states[-1], depth, h))
-    transversals, members = [], []
-    for depth in reversed(range(len(gens))):
+    for depth in range(searched[-1] if searched else 0):
+        states.append(extend(*states[-1], depth, gens[depth]))
+    transversals, members = [[tuple(range(n))] for _ in gens], []
+    for depth in reversed(searched):
         h, pool = gens[depth], set(pools[depth])
         # each pool point known so far: a member taking h there, or None
         # for a candidate proven to have no completion
@@ -341,7 +343,7 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
                     members.append(rep)
                 if len(known) < len(pool):  # a candidate is still open
                     close(known, members, pool, h)
-        transversals.insert(0, [a for a in known.values() if a is not None])
+        transversals[depth] = [a for a in known.values() if a is not None]
     return compose_transversals(n, transversals)
 
 
@@ -391,16 +393,17 @@ def _require_normal(s: Subgroup, role: str) -> None:
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
 
 
-def _restrict(g: FiniteGroup, base: AutSet, checks, name: str) -> AutSet:
-    """The members a of ``base`` with a(x) in ``allowed`` for every
-    (x, allowed) of ``checks``: one pass per point over the surviving
-    rows, by a lookup table of allowed images; a mask keeps their order."""
+def _mask(g: FiniteGroup, base: AutSet, checks) -> np.ndarray:
+    """Which members a of ``base`` have a(x) in ``allowed`` for every
+    (x, allowed) of ``checks``: one pass per point over the rows, by a
+    lookup table of allowed images."""
     rows = base.rows
+    mask = np.ones(len(rows), dtype=bool)
     for x, allowed in checks:
         ok = np.zeros(g.n, dtype=bool)
         ok[allowed] = True
-        rows = rows[ok[rows[:, x]]]
-    return AutSet(g, rows, name)
+        mask &= ok[rows[:, x]]
+    return mask
 
 
 def aut_upper_lower(
@@ -424,7 +427,16 @@ def aut_upper_lower(
 
     base = g._memo(("aut_upper_lower", x.members, meet), compute)
     checks = [(t, [t]) for t in y.generators() if t not in meet]
-    return _restrict(g, base, checks, UPPER_LOWER_XY) if checks else base
+    return AutSet(g, base.rows[_mask(g, base, checks)], UPPER_LOWER_XY) if checks else base
+
+
+def aut_order(g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None) -> int:
+    """|Aut^X_Y(G)|, counted on ``aut_upper_lower``'s base with no set built."""
+    _require_normal(y, "lower")
+    meet = x.members & y.members
+    lower = y if meet == y.members else x if meet == x.members else Subgroup(g, meet)
+    base = aut_upper_lower(g, x, lower, bound=bound)
+    return int(_mask(g, base, [(t, [t]) for t in y.generators() if t not in meet]).sum())
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
@@ -457,7 +469,7 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
             table = g.table
             checks = [(x, [table[x][k] for k in upper.members])
                       for x in g.generating_sequence()]
-        return _restrict(g, base, checks, which)
+        return AutSet(g, base.rows[_mask(g, base, checks)], which)
 
     return g._memo(key, compute)
 

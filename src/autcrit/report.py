@@ -1,15 +1,15 @@
 """Corpus verification: criterion predictions versus brute force.
 
 For every requested criterion the driver evaluates the invariant-level
-predicate, computes the two automorphism subgroups it talks about with
-the search engine, compares them as sets, and records whether prediction
-and observation agree.  ``CRITERIA`` is the one table of what each
-criterion compares.  The parameterised criteria (COR_2_3, COR_2_4,
-COR_2_5) are swept over every admissible tuple of normal subgroups; each
-tuple contributes one row.  The sweep yields each tuple with the invariant
-key its predicate reads; the predicate decides the first tuple of each key
-(its hypothesis checks hold by the sweep's own containments) and later
-tuples reuse that (predicted, clause).  Brute force still runs per row.
+predicate, asks the search engine whether the two automorphism subgroups
+it talks about are equal, and records whether prediction and observation
+agree.  ``CRITERIA`` is the one table of what each criterion compares.
+The parameterised criteria (COR_2_3, COR_2_4, COR_2_5) are swept over
+every admissible tuple of normal subgroups, one row per tuple; the
+predicate decides the first tuple of each invariant key it reads, and
+later tuples reuse that verdict.  The sweep's containments make its
+hypotheses hold and the left side a subgroup of the right, so a swept
+row compares two orders; a single-group row compares two sets.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}; rows
@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 from . import automorphisms as aut
 from . import criteria as crit
 from .catalog import GroupSpec, build_group, catalog
-from .errors import AbelianInputError, ClassNotTwoError, NotAbelianError, OrderBoundExceededError
-from .groups import FiniteGroup, Subgroup
+from .errors import AbelianInputError, ClassNotTwoError, InvariantError, NotAbelianError
+from .errors import OrderBoundExceededError
+from .groups import FiniteGroup
 
 
 # The fixed JSON row schema, in output order.  ``Row.note`` (a skip reason)
-# and ``Row.args`` (the swept subgroups' member tuples, not Subgroup objects,
-# so a finished report keeps no group alive) are text-only.
+# and ``Row.args`` (indices into ``Report.lattice``, the swept subgroups'
+# sorted members, so a report keeps no group alive) are text-only.
 JSON_FIELDS = ("group", "order", "prime", "criterion", "predicted", "observed",
                "match", "clause", "elapsed_ms")
 
@@ -51,7 +52,7 @@ class Row:
     clause: str
     elapsed_ms: float
     note: str = ""
-    args: tuple[tuple[int, ...], ...] = ()
+    args: tuple[int, ...] = ()
 
 
 @dataclass
@@ -62,6 +63,7 @@ class Report:
     summary: dict[str, str]
     rows: list[Row] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    lattice: tuple[tuple[int, ...], ...] = ()
 
     @property
     def all_match(self) -> bool:
@@ -107,11 +109,10 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
     return summary
 
 
-def center_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All subgroups of Z(G), each normal, in the order of
-    ``g.normal_subgroups()``."""
+def center_subgroups(g: FiniteGroup) -> list[int]:
+    """Indices into ``g.normal_subgroups()`` of the subgroups of Z(G)."""
     z = g.center().members
-    return [s for s in g.normal_subgroups() if s.members <= z]
+    return [i for i, s in enumerate(g.normal_subgroups()) if s.members <= z]
 
 
 def _ids(parts) -> list[int]:
@@ -120,51 +121,51 @@ def _ids(parts) -> list[int]:
     return [ids.setdefault(q, len(ids)) for q in parts]
 
 
-# A sweep key holds the partition ids ``criteria._nested`` reads and no
-# flag for its one subgroup test, M1 = M2: under the sweep's containment
-# M1 <= M2, a subgroup inside another of equal order is that subgroup.
-# For COR_2_4 and COR_2_5, G/G'Z(G), G/G' and Z(G) are fixed per group.
+# A sweep yields indices into ``g.normal_subgroups()`` and a key of the
+# partition ids ``criteria._nested`` reads, with no flag for M1 = M2: under
+# the containment M1 <= M2, equal orders make equal subgroups.  For
+# COR_2_4 and COR_2_5, G/G'Z(G), G/G' and Z(G) are fixed per group.
 def sweep_2_3(g: FiniteGroup):
-    """Admissible (M1, N1, M2, N2) tuples: all normal, M_i <= Z(G) and
-    M_i <= N_i, M1 <= M2, N2 <= N1; each with the key ``cor_2_3`` reads:
-    the ids of G/G'N1, G/G'N2, M1 and M2."""
+    """Admissible (M1, N1, M2, N2): M_i <= Z(G) and M_i <= N_i, M1 <= M2,
+    N2 <= N1; each with the key ``cor_2_3`` reads: the ids of G/G'N1,
+    G/G'N2, M1 and M2."""
     p = g.prime_power()[0]
     normals = g.normal_subgroups()
     zsubs = center_subgroups(g)
     q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
-    mp = _ids(m.partition(p) for m in zsubs)
+    mp = _ids(normals[i].partition(p) for i in zsubs)
     # below[j]: each M1 <= M2 = zsubs[j], with its id
-    below = [[(m1, mp[i]) for i, m1 in enumerate(zsubs) if m1.members <= m2.members]
-             for m2 in zsubs]
-    for n1, q1 in zip(normals, q):
-        for n2, q2 in zip(normals, q):
+    below = [[(i, mp[k]) for k, i in enumerate(zsubs) if normals[i].members <= normals[j].members]
+             for j in zsubs]
+    for i1, n1 in enumerate(normals):
+        for i2, n2 in enumerate(normals):
             if not n2.members <= n1.members:
                 continue
-            for j, m2 in enumerate(zsubs):
-                if m2.members <= n2.members:
-                    for m1, mp1 in below[j]:
-                        yield (m1, n1, m2, n2), (q1, q2, mp1, mp[j])
+            for k, j in enumerate(zsubs):
+                if normals[j].members <= n2.members:
+                    for m1, mp1 in below[k]:
+                        yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[k])
 
 
 def sweep_2_45(g: FiniteGroup):
-    """Admissible (M, N) pairs with M <= Z(G) <= N, both normal; each with
-    the key ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
+    """Admissible (M, N) pairs with M <= Z(G) <= N; each with the key
+    ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
     p = g.prime_power()[0]
-    z = g.center().members
-    normals = [n for n in g.normal_subgroups() if z <= n.members]
+    normals, z = g.normal_subgroups(), g.center().members
+    above = [i for i, n in enumerate(normals) if z <= n.members]
     zsubs = center_subgroups(g)
-    q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
-    mp = _ids(m.partition(p) for m in zsubs)
-    for n, qn in zip(normals, q):
-        for m, mpm in zip(zsubs, mp):
-            yield (m, n), (qn, mpm)
+    q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
+    mp = _ids(normals[i].partition(p) for i in zsubs)
+    for i, qn in zip(above, q):
+        for k, mpm in zip(zsubs, mp):
+            yield (k, i), (qn, mpm)
 
 
 # criterion id -> (predicate, tuple sweep or None, argument labels, left
 # side, right side).  A side is a distinguished tag, or the (upper, lower)
-# argument positions of Aut^{M}_{N}.  The sweep yields (tuple, invariant
-# key) and the predicate takes the group and one swept tuple; single-group
-# criteria have no sweep and no arguments.
+# argument positions of Aut^{M}_{N}.  The sweep yields (tuple of lattice
+# indices, invariant key) and the predicate takes the group and the
+# tuple's subgroups; single-group criteria have no sweep and no arguments.
 CRITERIA = {
     crit.COR_2_3: (crit.cor_2_3, sweep_2_3, ("M1", "N1", "M2", "N2"), (0, 1), (2, 3)),
     crit.COR_2_4: (crit.cor_2_4, sweep_2_45, ("M", "N"), (0, 1), aut.C_STAR),
@@ -210,16 +211,16 @@ def verify_group(
         return report
     if force:
         bound = max(bound, g.n)
-    pairs: dict = {}
+    normals = g.normal_subgroups() if any(CRITERIA[c][1] for c in selected) else []
+    report.lattice = tuple(s.sorted_members for s in normals)
+    orders: dict = {}  # a distinguished tag or (M index, N index) -> its order
 
-    def side(spec, args) -> aut.AutSet:
-        if isinstance(spec, str):
-            return aut.distinguished(g, spec, bound=bound)
-        m, n = args[spec[0]], args[spec[1]]
-        key = (m.members, n.members)
-        if key not in pairs:
-            pairs[key] = aut.aut_upper_lower(g, m, n, bound=bound)
-        return pairs[key]
+    def order(spec, args) -> int:
+        key = spec if isinstance(spec, str) else (args[spec[0]], args[spec[1]])
+        if key not in orders:
+            orders[key] = (len(aut.distinguished(g, key, bound=bound)) if isinstance(key, str)
+                           else aut.aut_order(g, normals[key[0]], normals[key[1]], bound=bound))
+        return orders[key]
 
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
@@ -229,7 +230,7 @@ def verify_group(
             note = ""
             if key not in verdicts:
                 try:
-                    verdict = predicate(g, *args)
+                    verdict = predicate(g, *(normals[i] for i in args))
                 except ClassNotTwoError as exc:
                     if explicit:
                         raise
@@ -238,14 +239,20 @@ def verify_group(
                 verdicts[key] = (verdict.predicted_equal, verdict.clause)
             predicted, clause = verdicts[key]
             try:
-                observed = aut.autset_equal(side(left, args), side(right, args))
+                if sweep:  # the left side is a subgroup of the right
+                    small, large = order(left, args), order(right, args)
+                    if large % small:
+                        raise InvariantError(f"{cid}: left order {small} does not divide {large}")
+                    observed = small == large
+                else:
+                    observed = aut.autset_equal(aut.distinguished(g, left, bound=bound),
+                                                aut.distinguished(g, right, bound=bound))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
             elapsed = (time.perf_counter() - t0) * 1000.0
             match = None if observed is None else observed == predicted
             report.rows.append(Row(name, g.n, p, cid, predicted, observed, match, clause,
-                                   round(elapsed, 3), note,
-                                   tuple(s.sorted_members for s in args)))
+                                   round(elapsed, 3), note, args))
     report.rows.sort(key=lambda r: (r.group, r.criterion))
     return report
 
@@ -330,7 +337,8 @@ def report_to_text(report: Report, verbose: bool = False) -> str:
             if len(rows) > 1:
                 # the skip reason, else each swept subgroup's order and members
                 note = r.note or " ".join(f"{k}=order {len(ms)} {{{','.join(map(str, ms))}}}"
-                                          for k, ms in zip(labels, r.args))
+                                          for k, ms in zip(labels, map(report.lattice.__getitem__,
+                                                                       r.args)))
                 lines.append(
                     f"    predicted={_tf(r.predicted)} observed={_tf(r.observed)}"
                     f" clause={r.clause} {note}"

@@ -29,7 +29,7 @@ from autcrit.automorphisms import (
 )
 from autcrit.catalog import abelian_group, build_group, get_spec
 from autcrit.criteria import lemma_2_11_check
-from autcrit.report import center_subgroups
+from autcrit.report import center_subgroups, report_to_text, verify_group
 from oracles import count_homs, count_homs_killed_by, order_dividing_count_by_factors
 
 
@@ -103,7 +103,7 @@ def test_acceptance_3_hom_built_automorphism_sweep(corpus_under_64):
     compositions = 0
     for name, g in sorted(corpus_under_64.items()):
         p = g.prime_power()[0] if g.n > 1 else 2
-        zsubs = center_subgroups(g)
+        zsubs = [g.normal_subgroups()[i] for i in center_subgroups(g)]
         for y in g.normal_subgroups():
             q = g.quotient(y)
             qab = q.group.quotient(q.group.derived_subgroup()).group
@@ -228,3 +228,27 @@ def test_verify_all_golden(verify_all_runs):
         rows.append(json.dumps(row))
     text = "\n".join(rows) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_GOLDEN
+
+
+# sha256 of report_to_text(..., verbose=True) over the catalog and both
+# stress recipes, with the default bound and with a bound of 16, where
+# the larger groups' rows carry skip notes; pins each swept row's
+# M/N member text and every skip reason.
+VERBOSE_TEXT_GOLDEN = {
+    None: "433f4c1009f46f2ce78a23181b4cbb7d4d4330c3278cbd593f1ae55dd53b2350",
+    "16": "d5203a49bbf2f921b32b343a8de74c6591d72686ad4fba2f2fa5705d70e8901a",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(VERBOSE_TEXT_GOLDEN, key=str))
+def test_verbose_text_golden(corpus, stress_groups, monkeypatch, bound):
+    if bound is None:
+        monkeypatch.delenv("AUTCRIT_AUT_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", bound)
+    groups = sorted((name, g) for name, (_, g) in corpus.items())
+    groups += sorted(stress_groups.items())
+    h = hashlib.sha256()
+    for name, g in groups:
+        h.update((report_to_text(verify_group(name, g), verbose=True) + "\n").encode())
+    assert h.hexdigest() == VERBOSE_TEXT_GOLDEN[bound]

@@ -1,3 +1,4 @@
+import sys
 import time
 from math import prod
 
@@ -16,6 +17,7 @@ from autcrit.automorphisms import (
     IA,
     IA_STAR,
     aut_bound,
+    aut_order,
     aut_upper_lower,
     automorphism_group,
     autset_equal,
@@ -193,7 +195,7 @@ class TestConstrainedSearches:
 
         for name in ("M16", "D8xC2", "M27"):
             g = build_group(get_spec(name))
-            subs = center_subgroups(g)
+            subs = [g.normal_subgroups()[i] for i in center_subgroups(g)]
             one, full = g.trivial_subgroup(), g.full_subgroup()
             for x in subs:
                 for x2 in subs:
@@ -566,21 +568,52 @@ class TestOrbitTransversals:
         assert _orbits(g, one, got) == _orbits(g, one, transversals_by_candidate(g, full, one))
 
 
+def _extend_calls(g, upper, fixed):
+    """How many times one ``_search`` calls its nested ``extend``, counted
+    by a profile hook, so the search itself keeps no counter."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == automorphisms.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        automorphisms._search(g, upper, fixed)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestSearchWork:
+    """One assignment is searched per orbit, not per candidate: searching
+    a candidate already reached, or refuted, again raises these counts."""
+
+    @pytest.mark.parametrize("name, calls", [
+        ("C9:C9", 167), ("M81", 100), ("Q8xC2", 33), ("He3", 10), ("Q8", 6), ("D8", 4),
+    ])
+    def test_extend_calls_per_full_search(self, name, calls):
+        g = build_group(get_spec(name), fresh=True)
+        assert _extend_calls(g, g.full_subgroup(), g.trivial_subgroup()) == calls
+
+
 class TestUpperLowerBase:
     """Aut^X_Y is filtered out of one memoised search for Aut^X_(X meet Y)."""
 
     @staticmethod
     def _requested_sides(monkeypatch, g, name):
-        """The (X, Y) of every Aut^X_Y that ``verify_group`` asks for."""
+        """The (X, Y) of every Aut^X_Y that ``verify_group`` asks for, as a
+        set or as an order."""
         sides = []
-        real = automorphisms.aut_upper_lower
-
-        def recording(g, x, y, bound=None):
-            sides.append((x, y))
-            return real(g, x, y, bound=bound)
-
         with monkeypatch.context() as m:
-            m.setattr(automorphisms, "aut_upper_lower", recording)
+            for fn in ("aut_upper_lower", "aut_order"):
+                def recording(g, x, y, bound=None, real=getattr(automorphisms, fn)):
+                    sides.append((x, y))
+                    return real(g, x, y, bound=bound)
+
+                m.setattr(automorphisms, fn, recording)
             verify_group(name, g)
         return sides
 
@@ -604,6 +637,18 @@ class TestUpperLowerBase:
                 got = aut_upper_lower(g, x, y).data
                 want = automorphisms._search(g, x, y).tobytes()
                 assert got == want, (spec.name, x.order, y.order)
+
+    def test_order_counts_the_set(self, nonabelian_corpus, stress_groups):
+        pairs = 0
+        for name, g in sorted(nonabelian_corpus.items()) + sorted(stress_groups.items()):
+            if g.n > 64:
+                continue
+            normals = g.normal_subgroups()
+            for x in normals:
+                for y in normals:
+                    assert aut_order(g, x, y) == len(aut_upper_lower(g, x, y)), (name, x, y)
+                    pairs += 1
+        assert pairs > 30000  # 32,536, the order-64 stress group included
 
     def test_one_search_per_upper_and_meet(self, monkeypatch):
         searched = {}

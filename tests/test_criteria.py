@@ -2,6 +2,7 @@ import gc
 import weakref
 from itertools import product
 
+import numpy as np
 import pytest
 
 from autcrit.abelian import (
@@ -16,6 +17,7 @@ from autcrit.automorphisms import (
     CENTRAL,
     IA,
     IA_STAR,
+    aut_order,
     aut_upper_lower,
     autset_equal,
     distinguished,
@@ -59,6 +61,14 @@ from autcrit.report import sweep_2_3, sweep_2_45, verify_group
 
 def by_name(name):
     return build_group(get_spec(name))
+
+
+def swept(g, sweep):
+    """The sweep's tuples with their lattice indices resolved through
+    ``g.normal_subgroups()``, each with its key."""
+    normals = g.normal_subgroups()
+    for args, key in sweep(g):
+        yield tuple(normals[i] for i in args), key
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +178,7 @@ class TestCor23:
     @pytest.mark.parametrize("name", ["Q8", "D8", "M16", "D16"])
     def test_sweep_agrees_with_brute_force(self, name):
         g = by_name(name)
-        for (m1, n1, m2, n2), _ in sweep_2_3(g):
+        for (m1, n1, m2, n2), _ in swept(g, sweep_2_3):
             v = cor_2_3(g, m1, n1, m2, n2)
             observed = autset_equal(
                 aut_upper_lower(g, m1, n1), aut_upper_lower(g, m2, n2)
@@ -196,7 +206,7 @@ class TestCor24:
         for name in ("Q8", "D8", "M16", "D8xC2"):
             g = by_name(name)
             z = g.center()
-            for (m, n), _ in sweep_2_45(g):
+            for (m, n), _ in swept(g, sweep_2_45):
                 lhs = cor_2_4(g, m, n).predicted_equal
                 rhs = cor_2_3(g, m, n, z, z).predicted_equal
                 assert lhs == rhs, (name, m, n)
@@ -205,7 +215,7 @@ class TestCor24:
         for name in ("D8", "M16", "Q8xC2"):
             g = by_name(name)
             cs = distinguished(g, C_STAR)
-            for (m, n), _ in sweep_2_45(g):
+            for (m, n), _ in swept(g, sweep_2_45):
                 v = cor_2_4(g, m, n)
                 observed = autset_equal(aut_upper_lower(g, m, n), cs)
                 assert v.predicted_equal == observed, (name, m, n)
@@ -236,7 +246,7 @@ class TestCor25:
         for name in ("Q8", "D8", "M16", "D16"):
             g = by_name(name)
             ac = distinguished(g, CENTRAL)
-            for (m, n), _ in sweep_2_45(g):
+            for (m, n), _ in swept(g, sweep_2_45):
                 v = cor_2_5(g, m, n)
                 observed = autset_equal(aut_upper_lower(g, m, n), ac)
                 assert v.predicted_equal == observed, (name, m, n)
@@ -465,7 +475,7 @@ def keyed_disagreements(g, sweep, predicate, key_of=lambda key: key):
     on every tuple, so its hypothesis checks run on every tuple too."""
     first = {}
     bad = []
-    for args, key in sweep(g):
+    for args, key in swept(g, sweep):
         v = predicate(g, *args)
         decided = (v.predicted_equal, v.clause)
         if first.setdefault(key_of(key), decided) != decided:
@@ -512,3 +522,64 @@ class TestVerdictKeys:
         rep = verify_group(name, eval_recipe(STRESS_RECIPES[name]), [COR_2_3])
         assert len(rep.rows) == rows and len(calls) == keys
         assert all(r.match for r in rep.rows)
+
+
+def swept_sides(g):
+    """(criterion, lattice indices, left AutSet, right AutSet, left order,
+    right order) for every swept row of g, each side built once per group:
+    as a set by ``aut_upper_lower`` or ``distinguished``, and as an order
+    by ``aut_order`` or ``len``."""
+    normals = g.normal_subgroups()
+    sides = {}
+
+    def side(spec, args):
+        key = spec if isinstance(spec, str) else (args[spec[0]], args[spec[1]])
+        if key not in sides:
+            if isinstance(key, str):
+                s = distinguished(g, key)
+                sides[key] = s, len(s)
+            else:
+                m, n = normals[key[0]], normals[key[1]]
+                sides[key] = aut_upper_lower(g, m, n), aut_order(g, m, n)
+        return sides[key]
+
+    for cid, (_, sweep, _, left, right) in report_mod.CRITERIA.items():
+        if sweep is not None:
+            for args, _ in sweep(g):
+                (a, i), (b, j) = side(left, args), side(right, args)
+                yield cid, args, a, b, i, j
+
+
+def sweep_groups(corpus, stress_groups):
+    groups = sorted((name, g) for name, (_, g) in corpus.items() if not g.is_abelian())
+    return groups + sorted(stress_groups.items())
+
+
+def member_keys(s):
+    """An AutSet's members as one sorted void key per image row."""
+    return np.frombuffer(s.data, dtype=f"V{s.rows.itemsize * s.parent.n}")
+
+
+class TestSweptSides:
+    """The sweeps' containments make a swept row's left side a subgroup of
+    its right side, so ``verify_group`` compares their orders."""
+
+    def test_left_side_lies_in_right(self, corpus, stress_groups):
+        rows = 0
+        for name, g in sweep_groups(corpus, stress_groups):
+            for cid, args, a, b, _, _ in swept_sides(g):
+                small, large = member_keys(a), member_keys(b)
+                at = np.minimum(large.searchsorted(small), len(large) - 1)
+                assert (large[at] == small).all(), (name, cid, args)
+                rows += 1
+        assert rows > 30000
+
+    def test_equal_orders_are_equal_sets(self, corpus, stress_groups):
+        equal = rows = 0
+        for name, g in sweep_groups(corpus, stress_groups):
+            for cid, args, a, b, i, j in swept_sides(g):
+                assert i == len(a) and j == len(b), (name, cid, args)
+                assert (i == j) == autset_equal(a, b), (name, cid, args)
+                equal += i == j
+                rows += 1
+        assert 0 < equal < rows

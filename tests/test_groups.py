@@ -461,8 +461,21 @@ class TestQuotient:
         "g, real = quaternion_group(8), automorphisms._fingerprints\n"
         "automorphisms._fingerprints = lambda g: [(p, x == 3) for x, p in enumerate(real(g))]\n"
         "automorphisms._search(g, g.full_subgroup(), g.trivial_subgroup())\n",
+        # a sweep that swaps M1 and M2 makes the left side no subgroup of
+        # the right; the predicate gets the tuple back in order, as its
+        # hypothesis checks would refuse the swap before any side is counted
+        "from autcrit import report\n"
+        "from autcrit.catalog import dihedral_group\n"
+        "predicate, sweep, *rest = report.CRITERIA['COR_2_3']\n"
+        "def swapped(g):\n"
+        "    for (m1, n1, m2, n2), key in sweep(g):\n"
+        "        yield (m2, n1, m1, n2), key\n"
+        "def unswapped(g, m2, n1, m1, n2):\n"
+        "    return predicate(g, m1, n1, m2, n2)\n"
+        "report.CRITERIA['COR_2_3'] = (unswapped, swapped, *rest)\n"
+        "report.verify_group('D8', dihedral_group(8))\n",
     ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
-            "orbit_closure"])
+            "orbit_closure", "swapped_sweep"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
