@@ -5,14 +5,14 @@ work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
 Light's test on a generating set; everything structural (center, derived
-subgroup, quotients, normal subgroups as joins of conjugacy classes) is
+subgroup, quotients, a p-group's normal lattice by index-p covers) is
 computed by scans and closures over the table, and the abelian invariants
 of a section H/K are counted on the parent's table, with no quotient or
 copy built to read them (``section_partition``).  One walk grows every
 subgroup: ``FiniteGroup.join`` adds a left coset of the subgroup so far
 for each new product of a generator and a coset representative, and
-closure, greedy generator choice and the normal-subgroup lattice all call
-it.  Permutation generators become a table through their Cayley graph.
+closure, greedy generator choice and the lattice all call it.
+Permutation generators become a table through their Cayley graph.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -511,10 +511,11 @@ class FiniteGroup:
     def normal_subgroups(self) -> list["Subgroup"]:
         """Every normal subgroup, ordered by (order, sorted member tuple).
 
-        A normal subgroup is generated by the conjugacy classes it
-        contains, so a breadth-first walk from {0} reaches each one: every
-        step joins a found N with one class C.  N is normal, so <N, C> =
-        <C>N and ``join`` needs only C as generators."""
+        Breadth-first from {0}, each found N is joined with one x at a time,
+        as <x>N.  In a p-group, for normal N < K, K/N meets Z(G/N): some x
+        in K - N has x**p and [x, t] in N for each generator t of G, so N<x>
+        is normal, of index p over N and inside K.  An x in a cover found
+        from N gives that cover again; other groups join conjugacy classes."""
         # checked before the memo lookup, so a cached lattice never bypasses it
         if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
@@ -523,19 +524,33 @@ class FiniteGroup:
             )
 
         def compute():
-            t, inv = self.table, self._inv
-            conjugators = (0,) if self.is_abelian() else range(self.n)  # abelian: points
-            classes = {tuple(sorted({t[t[g][a]][inv[g]] for g in conjugators}))
-                       for a in range(1, self.n)}
-            found = {frozenset({0})}
-            work = [frozenset({0})]
+            t, inv, n = self.table, self._inv, self.n
+            try:
+                pp = self.prime_power()
+            except NotPGroupError:
+                pp = None
+            if pp is None:  # not a p-group, or trivial
+                classes = {tuple(sorted({t[t[g][a]][inv[g]] for g in range(n)}))
+                           for a in range(1, n)}
+            else:
+                p, gens = pp[0], self.full_subgroup().generators()
+                powers = self._memo(("powers", p),
+                                    lambda: tuple(self.power(x, p) for x in range(n)))
+            found, work = {frozenset({0})}, [frozenset({0})]
             for members in work:  # grows while it is walked, so breadth-first
-                for cls in classes:
-                    if cls[0] not in members:  # a normal subgroup holds all of it or none
-                        new = self.join(members, cls)
-                        if new not in found:
-                            found.add(new)
-                            work.append(new)
+                if pp is None:  # a normal subgroup holds all of a class or none of it
+                    news = [self.join(members, c) for c in classes if c[0] not in members]
+                else:
+                    news, covered = [], set(members)
+                    for x in range(1, n):
+                        if x not in covered and powers[x] in members and all(
+                                t[t[inv[x]][inv[s]]][t[x][s]] in members for s in gens):
+                            news.append(cover := self.join(members, (x,)))
+                            if len(cover) != p * len(members):
+                                raise InvariantError(f"a cover of N has order {len(cover)}")
+                            covered |= cover
+                work += (fresh := set(news) - found)
+                found |= fresh
             subs = [Subgroup(self, ms) for ms in found]
             subs.sort(key=lambda s: (s.order, s.sorted_members))
             for s in subs:

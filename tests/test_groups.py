@@ -474,8 +474,15 @@ class TestQuotient:
         "    return predicate(g, m1, n1, m2, n2)\n"
         "report.CRITERIA['COR_2_3'] = (unswapped, swapped, *rest)\n"
         "report.verify_group('D8', dihedral_group(8))\n",
+        # a join that returns the whole group is no cover of index p
+        "from autcrit.catalog import dihedral_group\n"
+        "from autcrit.groups import FiniteGroup\n"
+        "g = dihedral_group(8)\n"
+        "g.full_subgroup().generators()\n"
+        "FiniteGroup.join = lambda self, members, gens: frozenset(range(self.n))\n"
+        "g.normal_subgroups()\n",
     ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
-            "orbit_closure", "swapped_sweep"])
+            "orbit_closure", "swapped_sweep", "lattice_cover"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
@@ -708,12 +715,18 @@ class TestSubgroupEnumeration:
                     assert g.mul(a, b) in s.members
 
     def test_normal_subgroups_match_oracle(self, corpus):
-        # every catalog group in the enumeration bound, and the two large
-        # groups of the benchmark's stress workload; list order included
+        # every catalog group in the enumeration bound (D8xC4 among them),
+        # the two large groups of the benchmark's stress workload and
+        # Q8xC2^3, walked by covers; S3 and C2xC6, walked by classes as
+        # they are not p-groups; list order included
         groups = {name: g for name, (_, g) in corpus.items() if g.n <= 128}
         for spec in (GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"),
-                     GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)")):
+                     GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)"),
+                     GroupSpec("Q8xC2^3", 2, "product(quaternion 8, abelian 2 1 1 1)")):
             groups[spec.name] = build_group(spec, fresh=True)
+        groups["S3"] = s3()
+        groups["C2xC6"] = direct_product(cyclic_group(2), cyclic_group(6))
+        assert "D8xC4" in groups
         for name, g in sorted(groups.items()):
             expected = [s for s in all_subgroups(g) if s.is_normal()]
             assert g.normal_subgroups() == expected, name
