@@ -7,9 +7,12 @@ agree.  ``CRITERIA`` is the one table of what each criterion compares.
 The parameterised criteria (COR_2_3, COR_2_4, COR_2_5) are swept over
 every admissible tuple of normal subgroups, one row per tuple; the
 predicate decides the first tuple of each invariant key it reads, and
-later tuples reuse that verdict.  The sweep's containments make its
-hypotheses hold and the left side a subgroup of the right, so a swept
-row compares two orders; a single-group row compares two sets.
+later tuples reuse that verdict.  The sweeps walk lists of containments
+computed once per group (``containment``) and make no subset test.
+Those containments make the hypotheses hold and the left side a subgroup
+of the right, so a swept row compares two orders, each read from one
+table of |Aut^M_N| by (central M, N) and counted on first use; a
+single-group row compares two sets.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}; rows
@@ -109,10 +112,22 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
     return summary
 
 
+def containment(g: FiniteGroup) -> list[list[int]]:
+    """below[i]: the ascending indices j <= i into ``g.normal_subgroups()``
+    of the normal subgroups inside the i-th (the list is sorted by order),
+    read once per group from bitmasks of the members."""
+    def compute():
+        masks = [sum(1 << x for x in s.members) for s in g.normal_subgroups()]
+        return [[j for j, mj in enumerate(masks[:i + 1]) if mj & mi == mj]
+                for i, mi in enumerate(masks)]
+
+    return g._memo("below", compute)
+
+
 def center_subgroups(g: FiniteGroup) -> list[int]:
-    """Indices into ``g.normal_subgroups()`` of the subgroups of Z(G)."""
-    z = g.center().members
-    return [i for i, s in enumerate(g.normal_subgroups()) if s.members <= z]
+    """Indices into ``g.normal_subgroups()`` of the subgroups of Z(G),
+    ascending, so the last is Z(G)."""
+    return containment(g)[g.normal_subgroups().index(g.center())]
 
 
 def _ids(parts) -> list[int]:
@@ -123,37 +138,35 @@ def _ids(parts) -> list[int]:
 
 # A sweep yields indices into ``g.normal_subgroups()`` and a key of the
 # partition ids ``criteria._nested`` reads, with no flag for M1 = M2: under
-# the containment M1 <= M2, equal orders make equal subgroups.  For
-# COR_2_4 and COR_2_5, G/G'Z(G), G/G' and Z(G) are fixed per group.
+# the containment M1 <= M2, equal orders make equal subgroups.  It walks
+# the containment lists and makes no subset test; every subgroup of a
+# central one is central.  For COR_2_4 and COR_2_5, G/G'Z(G), G/G' and
+# Z(G) are fixed per group.
 def sweep_2_3(g: FiniteGroup):
     """Admissible (M1, N1, M2, N2): M_i <= Z(G) and M_i <= N_i, M1 <= M2,
     N2 <= N1; each with the key ``cor_2_3`` reads: the ids of G/G'N1,
     G/G'N2, M1 and M2."""
     p = g.prime_power()[0]
-    normals = g.normal_subgroups()
+    normals, below = g.normal_subgroups(), containment(g)
     zsubs = center_subgroups(g)
     q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
-    mp = _ids(normals[i].partition(p) for i in zsubs)
-    # below[j]: each M1 <= M2 = zsubs[j], with its id
-    below = [[(i, mp[k]) for k, i in enumerate(zsubs) if normals[i].members <= normals[j].members]
-             for j in zsubs]
-    for i1, n1 in enumerate(normals):
-        for i2, n2 in enumerate(normals):
-            if not n2.members <= n1.members:
-                continue
-            for k, j in enumerate(zsubs):
-                if normals[j].members <= n2.members:
-                    for m1, mp1 in below[k]:
-                        yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[k])
+    mp = dict(zip(zsubs, _ids(normals[i].partition(p) for i in zsubs)))
+    # each central M2 with its (M1, id) pairs; each N2 with its central M2s
+    pairs = {j: [(i, mp[i]) for i in below[j]] for j in zsubs}
+    central = [[j for j in b if j in mp] for b in below]
+    for i1, b1 in enumerate(below):
+        for i2 in b1:
+            for j in central[i2]:
+                for m1, mp1 in pairs[j]:
+                    yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[j])
 
 
 def sweep_2_45(g: FiniteGroup):
     """Admissible (M, N) pairs with M <= Z(G) <= N; each with the key
     ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
     p = g.prime_power()[0]
-    normals, z = g.normal_subgroups(), g.center().members
-    above = [i for i, n in enumerate(normals) if z <= n.members]
-    zsubs = center_subgroups(g)
+    normals, zsubs = g.normal_subgroups(), center_subgroups(g)
+    above = [i for i, b in enumerate(containment(g)) if zsubs[-1] in b]
     q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
     mp = _ids(normals[i].partition(p) for i in zsubs)
     for i, qn in zip(above, q):
@@ -213,18 +226,21 @@ def verify_group(
         bound = max(bound, g.n)
     normals = g.normal_subgroups() if any(CRITERIA[c][1] for c in selected) else []
     report.lattice = tuple(s.sorted_members for s in normals)
-    orders: dict = {}  # a distinguished tag or (M index, N index) -> its order
+    # |Aut^M_N| for a swept side (M, N), M central, at orders[at[M] + N]:
+    # one row of the table per subgroup of Z(G), each filled on first use
+    zsubs = center_subgroups(g) if normals else []
+    at = {m: k * len(normals) for k, m in enumerate(zsubs)}
+    orders: list = [None] * (len(zsubs) * len(normals))
 
-    def order(spec, args) -> int:
-        key = spec if isinstance(spec, str) else (args[spec[0]], args[spec[1]])
-        if key not in orders:
-            orders[key] = (len(aut.distinguished(g, key, bound=bound)) if isinstance(key, str)
-                           else aut.aut_order(g, normals[key[0]], normals[key[1]], bound=bound))
-        return orders[key]
+    def count(i: int, m: int, n: int) -> int:
+        orders[i] = aut.aut_order(g, normals[m], normals[n], bound=bound)
+        return orders[i]
 
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
         verdicts: dict = {}  # invariant key -> (predicted_equal, clause)
+        tag = isinstance(right, str)
+        fixed = None  # the order of a distinguished right side, once counted
         for args, key in sweep(g) if sweep else [((), None)]:
             t0 = time.perf_counter()
             note = ""
@@ -240,7 +256,13 @@ def verify_group(
             predicted, clause = verdicts[key]
             try:
                 if sweep:  # the left side is a subgroup of the right
-                    small, large = order(left, args), order(right, args)
+                    m, n = args[left[0]], args[left[1]]
+                    small = orders[at[m] + n] or count(at[m] + n, m, n)
+                    if tag:
+                        large = fixed = fixed or len(aut.distinguished(g, right, bound=bound))
+                    else:
+                        m, n = args[right[0]], args[right[1]]
+                        large = orders[at[m] + n] or count(at[m] + n, m, n)
                     if large % small:
                         raise InvariantError(f"{cid}: left order {small} does not divide {large}")
                     observed = small == large
@@ -280,29 +302,22 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
     return specs
 
 
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-
-
 def reports_to_json_lines(reports: list[Report]) -> str:
-    """One ``json.dumps`` line per row, written from parts: the (group,
-    order, prime, criterion) prefix is dumped once per criterion and each
-    clause once, and ``repr`` of a float is the text ``json`` writes."""
-    prefixes: dict = {}
-    clauses: dict = {}
-    lit = _JSON_LITERALS
+    """One ``json.dumps`` line per row, written from parts: all but the
+    elapsed_ms value is dumped once per distinct (group, order, prime,
+    criterion, predicted, observed, match, clause), and ``repr`` of a
+    float is the text ``json`` writes."""
+    starts: dict = {}
     lines = []
     for rep in reports:
         for r in rep.rows:
-            head = (r.group, r.order, r.prime, r.criterion)
-            prefix = prefixes.get(head)
-            if prefix is None:
-                prefix = prefixes[head] = json.dumps(dict(zip(JSON_FIELDS, head)))[:-1]
-            clause = clauses.get(r.clause)
-            if clause is None:
-                clause = clauses[r.clause] = json.dumps(r.clause)
-            lines.append(f'{prefix}, "predicted": {lit[r.predicted]}, '
-                         f'"observed": {lit[r.observed]}, "match": {lit[r.match]}, '
-                         f'"clause": {clause}, "elapsed_ms": {r.elapsed_ms!r}}}')
+            key = (r.group, r.order, r.prime, r.criterion, r.predicted, r.observed, r.match,
+                   r.clause)
+            start = starts.get(key)
+            if start is None:
+                start = json.dumps(dict(zip(JSON_FIELDS, key)))[:-1] + ', "elapsed_ms": '
+                starts[key] = start
+            lines.append(f"{start}{r.elapsed_ms!r}}}")
     return "\n".join(lines) + "\n"
 
 

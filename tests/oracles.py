@@ -10,6 +10,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
+from autcrit import criteria as crit
 from autcrit.automorphisms import (
     C_STAR,
     CENTRAL,
@@ -523,3 +524,53 @@ def section_exps(g, h_members, k_members, p):
     found = [exps for exps in _partitions_of(m) if _killed_counts(p, exps, m) == killed]
     assert len(found) == 1, found
     return found[0]
+
+
+# The criteria sweeps as they were before the containment lists: every
+# containment is a frozenset subset test.  Same tuples, keys and order.
+def center_subgroups_by_subsets(g):
+    """Indices into ``g.normal_subgroups()`` of the subgroups of Z(G)."""
+    z = g.center().members
+    return [i for i, s in enumerate(g.normal_subgroups()) if s.members <= z]
+
+
+def _ids(parts):
+    """A small int per partition, equal exactly when the partitions are."""
+    ids = {}
+    return [ids.setdefault(q, len(ids)) for q in parts]
+
+
+def sweep_2_3_by_subsets(g):
+    """Admissible (M1, N1, M2, N2): M_i <= Z(G) and M_i <= N_i, M1 <= M2,
+    N2 <= N1; each with the key ``cor_2_3`` reads: the ids of G/G'N1,
+    G/G'N2, M1 and M2."""
+    p = g.prime_power()[0]
+    normals = g.normal_subgroups()
+    zsubs = center_subgroups_by_subsets(g)
+    q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
+    mp = _ids(normals[i].partition(p) for i in zsubs)
+    # below[j]: each M1 <= M2 = zsubs[j], with its id
+    below = [[(i, mp[k]) for k, i in enumerate(zsubs) if normals[i].members <= normals[j].members]
+             for j in zsubs]
+    for i1, n1 in enumerate(normals):
+        for i2, n2 in enumerate(normals):
+            if not n2.members <= n1.members:
+                continue
+            for k, j in enumerate(zsubs):
+                if normals[j].members <= n2.members:
+                    for m1, mp1 in below[k]:
+                        yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[k])
+
+
+def sweep_2_45_by_subsets(g):
+    """Admissible (M, N) pairs with M <= Z(G) <= N; each with the key
+    ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
+    p = g.prime_power()[0]
+    normals, z = g.normal_subgroups(), g.center().members
+    above = [i for i, n in enumerate(normals) if z <= n.members]
+    zsubs = center_subgroups_by_subsets(g)
+    q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
+    mp = _ids(normals[i].partition(p) for i in zsubs)
+    for i, qn in zip(above, q):
+        for k, mpm in zip(zsubs, mp):
+            yield (k, i), (qn, mpm)

@@ -29,7 +29,7 @@ from autcrit.automorphisms import (
 )
 from autcrit.catalog import abelian_group, build_group, get_spec
 from autcrit.criteria import lemma_2_11_check
-from autcrit.report import center_subgroups, report_to_text, verify_group
+from autcrit.report import center_subgroups, report_to_text, reports_to_json_lines, verify_group
 from oracles import count_homs, count_homs_killed_by, order_dividing_count_by_factors
 
 
@@ -252,3 +252,24 @@ def test_verbose_text_golden(corpus, stress_groups, monkeypatch, bound):
     for name, g in groups:
         h.update((report_to_text(verify_group(name, g), verbose=True) + "\n").encode())
     assert h.hexdigest() == VERBOSE_TEXT_GOLDEN[bound]
+
+
+# sha256 over both stress recipes of verify_group's JSON rows with
+# elapsed_ms dropped, and of report_to_text(..., verbose=True); pins the
+# values and order of the 20,011 rows of the benchmark's stress workload.
+STRESS_GOLDEN = ("5a24f0afad7037f46d33e7d800e61c3a0f9417169d51570a3a227f6623abd05d",
+                 "aa60b17be8a047b89c4c30083b0cb6adc42f24d0425c3ca7419c24e5a4927372")
+
+
+def test_stress_golden(stress_groups, monkeypatch):
+    monkeypatch.delenv("AUTCRIT_AUT_BOUND", raising=False)
+    reports = [verify_group(name, g) for name, g in sorted(stress_groups.items())]
+    rows = []
+    for ln in reports_to_json_lines(reports).splitlines():
+        row = json.loads(ln)
+        row.pop("elapsed_ms")
+        rows.append(json.dumps(row))
+    assert len(rows) == 20011
+    text = "".join(report_to_text(rep, verbose=True) + "\n" for rep in reports)
+    assert (hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest(),
+            hashlib.sha256(text.encode()).hexdigest()) == STRESS_GOLDEN

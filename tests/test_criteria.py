@@ -50,13 +50,14 @@ from autcrit.criteria import (
     lemma_2_11_check,
     thm_2_12,
 )
-from autcrit.groups import FiniteGroup
+from autcrit.groups import FiniteGroup, direct_product
 from autcrit.errors import (
     AbelianInputError,
     ClassNotTwoError,
     HypothesisViolationError,
 )
-from autcrit.report import sweep_2_3, sweep_2_45, verify_group
+from autcrit.report import center_subgroups, containment, sweep_2_3, sweep_2_45, verify_group
+from oracles import center_subgroups_by_subsets, sweep_2_3_by_subsets, sweep_2_45_by_subsets
 
 
 def by_name(name):
@@ -583,3 +584,40 @@ class TestSweptSides:
                 equal += i == j
                 rows += 1
         assert 0 < equal < rows
+
+
+@pytest.fixture(scope="module")
+def q8xc2_3():
+    """Q8xC2^3: order 128, 425 normal subgroups."""
+    return eval_recipe("product(quaternion 8, abelian 2 1 1 1)")
+
+
+class TestContainment:
+    """The containment lists, and the sweeps that walk them, against
+    pairwise frozenset subset tests."""
+
+    def test_lists_match_subset_tests(self, corpus, stress_groups, q8xc2_3):
+        # every catalog group in the enumeration bound; S3 and C2xC6 are
+        # not p-groups, so their lattices come from the class walk
+        groups = sorted((name, g) for name, (_, g) in corpus.items() if g.n <= 128)
+        groups += sorted(stress_groups.items())
+        groups += [("Q8xC2^3", q8xc2_3),
+                   ("S3", FiniteGroup.from_permutation_generators([(1, 2, 0), (1, 0, 2)])),
+                   ("C2xC6", direct_product(cyclic_group(2), cyclic_group(6)))]
+        for name, g in groups:
+            normals = g.normal_subgroups()
+            expected = [[j for j, s in enumerate(normals) if s.members <= n.members]
+                        for n in normals]
+            assert containment(g) == expected, name
+
+    def test_sweeps_match_subset_sweeps(self, nonabelian_corpus, stress_groups, q8xc2_3):
+        groups = sorted(nonabelian_corpus.items()) + sorted(stress_groups.items())
+        groups.append(("Q8xC2^3", q8xc2_3))
+        tuples = 0
+        for name, g in groups:
+            assert center_subgroups(g) == center_subgroups_by_subsets(g), name
+            assert list(sweep_2_45(g)) == list(sweep_2_45_by_subsets(g)), name
+            got = list(sweep_2_3(g))
+            assert got == list(sweep_2_3_by_subsets(g)), name
+            tuples += len(got)
+        assert tuples == 111151  # 29,300 on the catalog and stress groups

@@ -474,6 +474,26 @@ class TestQuotient:
         "    return predicate(g, m1, n1, m2, n2)\n"
         "report.CRITERIA['COR_2_3'] = (unswapped, swapped, *rest)\n"
         "report.verify_group('D8', dihedral_group(8))\n",
+        # the divisibility guard reads both sides on every row, also from
+        # the order table: a stub gives |Aut^1_1| = 8 and |Aut^1_G| = 1,
+        # and the third tuple finds both cached; a fourth count would
+        # mean a side was not read from the table
+        "from autcrit import automorphisms, report\n"
+        "from autcrit.catalog import dihedral_group\n"
+        "g = dihedral_group(8)\n"
+        "top, counted = len(g.normal_subgroups()) - 1, []\n"
+        "def stub(g, x, y, bound=None):\n"
+        "    counted.append(y)\n"
+        "    if len(counted) > 2:\n"
+        "        raise RuntimeError('a cached side was counted again')\n"
+        "    return g.n // y.order\n"
+        "automorphisms.aut_order = stub\n"
+        "predicate, sweep, *rest = report.CRITERIA['COR_2_3']\n"
+        "def cached(g):\n"
+        "    for n1, n2 in ((0, 0), (top, top), (0, top)):\n"
+        "        yield (0, n1, 0, n2), 'one key'\n"
+        "report.CRITERIA['COR_2_3'] = (predicate, cached, *rest)\n"
+        "report.verify_group('D8', g, ['COR_2_3'])\n",
         # a join that returns the whole group is no cover of index p
         "from autcrit.catalog import dihedral_group\n"
         "from autcrit.groups import FiniteGroup\n"
@@ -482,7 +502,7 @@ class TestQuotient:
         "FiniteGroup.join = lambda self, members, gens: frozenset(range(self.n))\n"
         "g.normal_subgroups()\n",
     ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
-            "orbit_closure", "swapped_sweep", "lattice_cover"])
+            "orbit_closure", "swapped_sweep", "cached_sides", "lattice_cover"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
