@@ -32,10 +32,11 @@ normal X and Y.  ``aut_upper_lower(G, X, Y)`` runs one search per
 identity on X meet Y, so only a complement of it is searched, and
 restricts the image of each generator g to the coset gX.  Aut^X_Y is
 then the members of that base that fix each generator of Y outside X,
-a generator filter, which ``aut_order`` counts with no set built: every
-swept Aut^M_N, M <= N central, is such a count on the one search for
-Aut^M_M.  Aut^X is ``aut_upper_lower(G, X, 1)`` and Aut_Y is
-``aut_upper_lower(G, G, Y)``; the full group is X = G and Y = 1.
+a generator filter.  ``aut_orders`` counts such sets with no set built,
+on a census of the base taken once: how many members fix exactly each
+set of points.  Every swept Aut^M_N, M <= N central, is such a count on
+the one search for Aut^M_M.  Aut^X is ``aut_upper_lower(G, X, 1)`` and
+Aut_Y is ``aut_upper_lower(G, G, Y)``; the full group is X = G, Y = 1.
 
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
@@ -430,13 +431,33 @@ def aut_upper_lower(
     return AutSet(g, base.rows[_mask(g, base, checks)], UPPER_LOWER_XY) if checks else base
 
 
+def _census(base: AutSet) -> list[tuple[int, int]]:
+    """(bitmask of the points a member fixes, how many members fix just those)."""
+    fixed = np.packbits(base.rows == np.arange(base.parent.n), axis=1, bitorder="little")
+    masks, counts = np.unique(fixed, axis=0, return_counts=True)
+    return [(int.from_bytes(m.tobytes(), "little"), k) for m, k in zip(masks, counts.tolist())]
+
+
+def aut_orders(g: FiniteGroup, x: Subgroup, ys, bound: int | None = None) -> list[int]:
+    """|Aut^X_Y(G)| for each Y of ``ys``, with no set built: the members of
+    the base Aut^X_(X meet Y) whose fixed points hold Y's generators, summed
+    on the base's census, which is memoised next to it."""
+    censuses, orders = {}, []
+    for y in ys:
+        _require_normal(y, "lower")
+        meet = x.members & y.members
+        if meet not in censuses:
+            lower = y if meet == y.members else x if meet == x.members else Subgroup(g, meet)
+            base = aut_upper_lower(g, x, lower, bound=bound)
+            censuses[meet] = g._memo(("aut_census", x.members, meet), lambda: _census(base))
+        need = sum(1 << t for t in y.generators())
+        orders.append(sum(k for fixed, k in censuses[meet] if fixed & need == need))
+    return orders
+
+
 def aut_order(g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None) -> int:
-    """|Aut^X_Y(G)|, counted on ``aut_upper_lower``'s base with no set built."""
-    _require_normal(y, "lower")
-    meet = x.members & y.members
-    lower = y if meet == y.members else x if meet == x.members else Subgroup(g, meet)
-    base = aut_upper_lower(g, x, lower, bound=bound)
-    return int(_mask(g, base, [(t, [t]) for t in y.generators() if t not in meet]).sum())
+    """|Aut^X_Y(G)|, one ``aut_orders`` count."""
+    return aut_orders(g, x, (y,), bound)[0]
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:

@@ -11,8 +11,8 @@ later tuples reuse that verdict.  The sweeps walk lists of containments
 computed once per group (``containment``) and make no subset test.
 Those containments make the hypotheses hold and the left side a subgroup
 of the right, so a swept row compares two orders, each read from one
-table of |Aut^M_N| by (central M, N) and counted on first use; a
-single-group row compares two sets.
+table of |Aut^M_N| by (central M, N) with one row per central M, filled
+whole by one count when first read; a single-group row compares two sets.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}; rows
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import automorphisms as aut
 from . import criteria as crit
@@ -227,14 +228,17 @@ def verify_group(
     normals = g.normal_subgroups() if any(CRITERIA[c][1] for c in selected) else []
     report.lattice = tuple(s.sorted_members for s in normals)
     # |Aut^M_N| for a swept side (M, N), M central, at orders[at[M] + N]:
-    # one row of the table per subgroup of Z(G), each filled on first use
-    zsubs = center_subgroups(g) if normals else []
+    # one row of the table per subgroup of Z(G), filled whole on first use
+    zsubs, below = (center_subgroups(g), containment(g)) if normals else ([], [])
     at = {m: k * len(normals) for k, m in enumerate(zsubs)}
     orders: list = [None] * (len(zsubs) * len(normals))
 
-    def count(i: int, m: int, n: int) -> int:
-        orders[i] = aut.aut_order(g, normals[m], normals[n], bound=bound)
-        return orders[i]
+    def count(m: int, n: int) -> int:
+        above = [i for i, b in enumerate(below) if m in b]  # M's row: every N above M
+        sides = aut.aut_orders(g, normals[m], [normals[i] for i in above], bound=bound)
+        for i, k in zip(above, sides):
+            orders[at[m] + i] = k
+        return orders[at[m] + n]
 
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
@@ -257,12 +261,12 @@ def verify_group(
             try:
                 if sweep:  # the left side is a subgroup of the right
                     m, n = args[left[0]], args[left[1]]
-                    small = orders[at[m] + n] or count(at[m] + n, m, n)
+                    small = orders[at[m] + n] or count(m, n)
                     if tag:
                         large = fixed = fixed or len(aut.distinguished(g, right, bound=bound))
                     else:
                         m, n = args[right[0]], args[right[1]]
-                        large = orders[at[m] + n] or count(at[m] + n, m, n)
+                        large = orders[at[m] + n] or count(m, n)
                     if large % small:
                         raise InvariantError(f"{cid}: left order {small} does not divide {large}")
                     observed = small == large
@@ -275,7 +279,7 @@ def verify_group(
             match = None if observed is None else observed == predicted
             report.rows.append(Row(name, g.n, p, cid, predicted, observed, match, clause,
                                    round(elapsed, 3), note, args))
-    report.rows.sort(key=lambda r: (r.group, r.criterion))
+    report.rows.sort(key=attrgetter("criterion"))  # every row has this group
     return report
 
 

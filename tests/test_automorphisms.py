@@ -39,7 +39,7 @@ from autcrit.catalog import (
     quaternion_group,
 )
 from autcrit.groups import FiniteGroup
-from autcrit.report import verify_group
+from autcrit.report import center_subgroups, verify_group
 from autcrit.errors import (
     ConfigError,
     HypothesisViolationError,
@@ -607,13 +607,19 @@ class TestUpperLowerBase:
         """The (X, Y) of every Aut^X_Y that ``verify_group`` asks for, as a
         set or as an order."""
         sides = []
-        with monkeypatch.context() as m:
-            for fn in ("aut_upper_lower", "aut_order"):
-                def recording(g, x, y, bound=None, real=getattr(automorphisms, fn)):
-                    sides.append((x, y))
-                    return real(g, x, y, bound=bound)
 
-                m.setattr(automorphisms, fn, recording)
+        def sets(g, x, y, bound=None, real=automorphisms.aut_upper_lower):
+            sides.append((x, y))
+            return real(g, x, y, bound=bound)
+
+        def orders(g, x, ys, bound=None, real=automorphisms.aut_orders):
+            ys = list(ys)
+            sides.extend((x, y) for y in ys)
+            return real(g, x, ys, bound=bound)
+
+        with monkeypatch.context() as m:
+            m.setattr(automorphisms, "aut_upper_lower", sets)
+            m.setattr(automorphisms, "aut_orders", orders)
             verify_group(name, g)
         return sides
 
@@ -649,6 +655,25 @@ class TestUpperLowerBase:
                     assert aut_order(g, x, y) == len(aut_upper_lower(g, x, y)), (name, x, y)
                     pairs += 1
         assert pairs > 30000  # 32,536, the order-64 stress group included
+
+    def test_one_count_per_central_subgroup(self, nonabelian_corpus, stress_groups,
+                                            monkeypatch):
+        # verify_group fills each central M's row of its order table with
+        # one aut_orders call; every subgroup of Z(G) is an M of some row
+        real = automorphisms.aut_orders
+        for name, g in sorted(nonabelian_corpus.items()) + sorted(stress_groups.items()):
+            uppers = []
+
+            def counting(g, x, ys, bound=None):
+                uppers.append(x.members)
+                return real(g, x, ys, bound=bound)
+
+            monkeypatch.setattr(automorphisms, "aut_orders", counting)
+            rep = verify_group(name, g)
+            assert all(r.match for r in rep.rows), name
+            normals = g.normal_subgroups()
+            central = {normals[i].members for i in center_subgroups(g)}
+            assert len(uppers) == len(central) and set(uppers) == central, name
 
     def test_one_search_per_upper_and_meet(self, monkeypatch):
         searched = {}

@@ -476,18 +476,19 @@ class TestQuotient:
         "report.verify_group('D8', dihedral_group(8))\n",
         # the divisibility guard reads both sides on every row, also from
         # the order table: a stub gives |Aut^1_1| = 8 and |Aut^1_G| = 1,
-        # and the third tuple finds both cached; a fourth count would
+        # the first tuple fills the trivial M's whole row, and the third
+        # tuple finds both sides cached; a second fill of that row would
         # mean a side was not read from the table
         "from autcrit import automorphisms, report\n"
         "from autcrit.catalog import dihedral_group\n"
         "g = dihedral_group(8)\n"
-        "top, counted = len(g.normal_subgroups()) - 1, []\n"
-        "def stub(g, x, y, bound=None):\n"
-        "    counted.append(y)\n"
-        "    if len(counted) > 2:\n"
-        "        raise RuntimeError('a cached side was counted again')\n"
-        "    return g.n // y.order\n"
-        "automorphisms.aut_order = stub\n"
+        "top, filled = len(g.normal_subgroups()) - 1, []\n"
+        "def stub(g, x, ys, bound=None):\n"
+        "    filled.append(x)\n"
+        "    if len(filled) > 1:\n"
+        "        raise RuntimeError('a row of the order table was filled again')\n"
+        "    return [g.n // y.order for y in ys]\n"
+        "automorphisms.aut_orders = stub\n"
         "predicate, sweep, *rest = report.CRITERIA['COR_2_3']\n"
         "def cached(g):\n"
         "    for n1, n2 in ((0, 0), (top, top), (0, top)):\n"
