@@ -51,6 +51,7 @@ generating set settles membership.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
@@ -434,8 +435,7 @@ def aut_upper_lower(
 def _census(base: AutSet) -> list[tuple[int, int]]:
     """(bitmask of the points a member fixes, how many members fix just those)."""
     fixed = np.packbits(base.rows == np.arange(base.parent.n), axis=1, bitorder="little")
-    masks, counts = np.unique(fixed, axis=0, return_counts=True)
-    return [(int.from_bytes(m.tobytes(), "little"), k) for m, k in zip(masks, counts.tolist())]
+    return [(int.from_bytes(m, "little"), k) for m, k in Counter(map(bytes, fixed)).items()]
 
 
 def aut_orders(g: FiniteGroup, x: Subgroup, ys, bound: int | None = None) -> list[int]:

@@ -15,19 +15,20 @@ table of |Aut^M_N| by (central M, N) with one row per central M, filled
 whole by one count when first read; a single-group row compares two sets.
 
 JSON reports are line-delimited with exactly the fields {group, order,
-prime, criterion, predicted, observed, match, clause, elapsed_ms}; rows
-are sorted by (group name, criterion id) with the deterministic sweep
-order preserved inside a criterion.  Skipped brute-force confirmations
-(automorphism bound exceeded without --force) leave observed and match
-null; the reason only appears in the text rendering.
+prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
+elapsed_ms is one row's decision time in ms to the microsecond, from
+``perf_counter_ns``; rows are sorted by (group name, criterion id) with
+the deterministic sweep order preserved inside a criterion.  Skipped
+brute-force confirmations (automorphism bound exceeded without --force) leave
+observed and match null; the reason only appears in the text rendering.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from operator import attrgetter
+from time import perf_counter_ns
 
 from . import automorphisms as aut
 from . import criteria as crit
@@ -230,7 +231,9 @@ def verify_group(
     # |Aut^M_N| for a swept side (M, N), M central, at orders[at[M] + N]:
     # one row of the table per subgroup of Z(G), filled whole on first use
     zsubs, below = (center_subgroups(g), containment(g)) if normals else ([], [])
-    at = {m: k * len(normals) for k, m in enumerate(zsubs)}
+    at: list = [None] * len(normals)
+    for k, m in enumerate(zsubs):
+        at[m] = k * len(normals)
     orders: list = [None] * (len(zsubs) * len(normals))
 
     def count(m: int, n: int) -> int:
@@ -244,11 +247,14 @@ def verify_group(
         predicate, sweep, _, left, right = CRITERIA[cid]
         verdicts: dict = {}  # invariant key -> (predicted_equal, clause)
         tag = isinstance(right, str)
+        lm, ln = left if sweep else (None, None)
+        rm, rn = (None, None) if tag else right
         fixed = None  # the order of a distinguished right side, once counted
         for args, key in sweep(g) if sweep else [((), None)]:
-            t0 = time.perf_counter()
+            t0 = perf_counter_ns()
             note = ""
-            if key not in verdicts:
+            v = verdicts.get(key)
+            if v is None:
                 try:
                     verdict = predicate(g, *(normals[i] for i in args))
                 except ClassNotTwoError as exc:
@@ -256,16 +262,16 @@ def verify_group(
                         raise
                     report.notes.append(f"{cid}: skipped ({exc})")
                     continue
-                verdicts[key] = (verdict.predicted_equal, verdict.clause)
-            predicted, clause = verdicts[key]
+                v = verdicts[key] = (verdict.predicted_equal, verdict.clause)
+            predicted, clause = v
             try:
                 if sweep:  # the left side is a subgroup of the right
-                    m, n = args[left[0]], args[left[1]]
+                    m, n = args[lm], args[ln]
                     small = orders[at[m] + n] or count(m, n)
                     if tag:
                         large = fixed = fixed or len(aut.distinguished(g, right, bound=bound))
                     else:
-                        m, n = args[right[0]], args[right[1]]
+                        m, n = args[rm], args[rn]
                         large = orders[at[m] + n] or count(m, n)
                     if large % small:
                         raise InvariantError(f"{cid}: left order {small} does not divide {large}")
@@ -275,10 +281,10 @@ def verify_group(
                                                 aut.distinguished(g, right, bound=bound))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
-            elapsed = (time.perf_counter() - t0) * 1000.0
+            elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000  # ms, to the microsecond
             match = None if observed is None else observed == predicted
             report.rows.append(Row(name, g.n, p, cid, predicted, observed, match, clause,
-                                   round(elapsed, 3), note, args))
+                                   elapsed, note, args))
     report.rows.sort(key=attrgetter("criterion"))  # every row has this group
     return report
 
@@ -309,9 +315,10 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
 def reports_to_json_lines(reports: list[Report]) -> str:
     """One ``json.dumps`` line per row, written from parts: all but the
     elapsed_ms value is dumped once per distinct (group, order, prime,
-    criterion, predicted, observed, match, clause), and ``repr`` of a
-    float is the text ``json`` writes."""
+    criterion, predicted, observed, match, clause), and the text of each
+    distinct nonzero float elapsed_ms once."""
     starts: dict = {}
+    ends: dict = {}
     lines = []
     for rep in reports:
         for r in rep.rows:
@@ -321,7 +328,14 @@ def reports_to_json_lines(reports: list[Report]) -> str:
             if start is None:
                 start = json.dumps(dict(zip(JSON_FIELDS, key)))[:-1] + ', "elapsed_ms": '
                 starts[key] = start
-            lines.append(f"{start}{r.elapsed_ms!r}}}")
+            e = r.elapsed_ms
+            if type(e) is not float:  # 1 == 1.0, and their text differs
+                end = json.dumps(e) + "}"
+            elif not e:  # 0.0 == -0.0 likewise; json writes a zero as repr does
+                end = f"{e!r}}}"
+            elif (end := ends.get(e)) is None:
+                end = ends[e] = json.dumps(e) + "}"
+            lines.append(start + end)
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 import sys
 import time
+from collections import Counter
 from math import prod
 
 import pytest
@@ -674,6 +675,37 @@ class TestUpperLowerBase:
             normals = g.normal_subgroups()
             central = {normals[i].members for i in center_subgroups(g)}
             assert len(uppers) == len(central) and set(uppers) == central, name
+
+    def test_census_counts_fixed_point_sets(self, monkeypatch):
+        # every census verify_group builds, against a Counter of each base
+        # member's fixed-point set read in plain Python from the members
+        real_sets, real_census = automorphisms.aut_upper_lower, automorphisms._census
+        fetched, censuses = {}, []
+
+        def sets(g, x, y, bound=None):
+            base = real_sets(g, x, y, bound=bound)
+            fetched[id(base)] = base
+            return base
+
+        def census(base):
+            censuses.append((id(base), real_census(base)))
+            return censuses[-1][1]
+
+        monkeypatch.setattr(automorphisms, "aut_upper_lower", sets)
+        monkeypatch.setattr(automorphisms, "_census", census)
+        specs = [s for s in catalog() if not build_group(s).is_abelian()]
+        for spec in specs + list(STRESS_SPECS):
+            fetched.clear()
+            censuses.clear()
+            verify_group(spec.name, build_group(spec, fresh=True))
+            assert censuses and {i for i, _ in censuses} == set(fetched), spec.name
+            for i, got in censuses:
+                n = fetched[i].parent.n
+                want = Counter(frozenset(x for x in range(n) if a(x) == x)
+                               for a in fetched[i].members)
+                masks = [frozenset(x for x in range(n) if m >> x & 1) for m, _ in got]
+                assert len(set(masks)) == len(masks), spec.name
+                assert dict(zip(masks, (k for _, k in got))) == want, spec.name
 
     def test_one_search_per_upper_and_meet(self, monkeypatch):
         searched = {}

@@ -159,11 +159,30 @@ class TestVerify:
                            "CASE_I" if i % 2 else 'N"ONE', times[i % 3])
             for i, (pred, obs, match) in enumerate(product((True, False, None), repeat=3))
         ]
+        # one elapsed_ms under two line starts; -0.0 after 0.0 and 1 after
+        # 1.0, which a cache keyed on the value alone would write as the
+        # equal value before them; and inf and nan, which json writes as
+        # Infinity and NaN
+        rows += [
+            report_mod.Row(name, 8, 2, "COR_2_6", True, True, True, "NONE", e)
+            for name, e in (("D8", 2.5), ("Q8", 2.5), ("D8", 0.0), ("D8", -0.0), ("D8", 1.0),
+                            ("D8", 1), ("Q8", float("inf")), ("Q8", float("nan")))
+        ]
         rep = report_mod.Report("D8", 8, 2, {}, rows)
         want = "".join(json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n"
                        for r in rows)
         assert report_mod.reports_to_json_lines([rep, rep]) == want + want
         assert report_mod.reports_to_json_lines([]) == "\n"
+
+    def test_row_times_are_whole_microseconds(self, stress_groups):
+        # elapsed_ms is one row's decision time in ms, to the microsecond
+        groups = sorted(stress_groups.items()) + [("M27", build_group(get_spec("M27")))]
+        for name, g in groups:
+            rows = verify_group(name, g).rows
+            assert rows, name
+            for r in rows:
+                e = r.elapsed_ms
+                assert type(e) is float and e >= 0 and round(e, 3) == e, (name, e)
 
     def test_injected_wrong_predicate_fails(self, monkeypatch, capsys):
         _, *sides = report_mod.CRITERIA[crit.COR_2_6]
