@@ -6,8 +6,8 @@ numpy reads the rows into the one n x n integer array that
 ``FiniteGroup.from_table`` takes; a non-integer token is a GroupFileError.
 Permutation files: a ``perm d`` header, then one generator per line in
 disjoint-cycle notation over 1..d, e.g. ``(1 2 3 4)(5 6)``; fixed points
-are omitted and ``()`` is the identity.  A header size above the ingest
-bound is refused unread.
+are omitted and ``()`` is the identity.  A header size below 1 or above
+the ingest bound is refused unread.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def parse_group_text(text: str) -> FiniteGroup:
         size = int(header[1])
     except ValueError:
         raise GroupFileError(f"bad header size in {lines[0]!r}") from None
+    if size < 1:
+        raise GroupFileError(f"header size {size} is below 1 in {lines[0]!r}")
     bound = groups.DEFAULT_INGEST_BOUND  # read at call time, like the closure's check
     if size > bound:
         raise OrderBoundExceededError(f"{header[0]} {size} exceeds bound {bound}")

@@ -475,35 +475,33 @@ class FiniteGroup:
         return self._memo("class", compute)
 
     def is_purely_nonabelian(self) -> tuple[bool, tuple["Subgroup", "Subgroup"] | None]:
-        """Whether G has no nontrivial abelian direct factor.
+        """Whether G has no nontrivial abelian direct factor; (False, (A, B))
+        with G = A x B, A nontrivial abelian, when one exists.  A group that
+        is not a p-group raises NotPGroupError.
 
-        Returns (False, (A, B)) with an internal direct decomposition
-        G = A x B, A nontrivial abelian, when one exists.  Any abelian
-        direct factor is central and its complement contains G', so the
-        search runs over subgroups A of Z(G) and over preimages B of
-        subgroups of G/G'.
-        """
+        G has an abelian factor iff it has a cyclic one, <z> with z central,
+        and a complement of <z> holds G'.  So <z> of order m is a factor iff
+        <zG'> has order m and is pure, hence a summand (Kulikov), in G/G':
+        iff z**(m/p) G' is not an m-th power there (1 = 1**m refuses z**(m/p)
+        in G').  B is the preimage of a complement of <zG'> in G/G'."""
         def compute():
-            if self.n == 1:
+            if (pp := self.prime_power()) is None:
                 return (True, None)
             if self.is_abelian():
                 return (False, (self.full_subgroup(), self.trivial_subgroup()))
-            z = self.center()
-            zg, zmap = z.as_group()
-            dquot = self.quotient(self.derived_subgroup())
-            comp_cands = []
-            for s in dquot.group.normal_subgroups():
-                members = frozenset(
-                    x for x in range(self.n) if dquot.projection[x] in s.members
-                )
-                comp_cands.append(Subgroup(self, members))
-            for a_small in zg.normal_subgroups():
-                if a_small.order == 1:
+            q, orders = self.quotient(self.derived_subgroup()), self.element_orders()
+            ab, proj, zs = q.group, q.projection, self.center().sorted_members[1:]
+            powers = {m: {ab.power(y, m) for y in range(ab.n)} for m in {orders[z] for z in zs}}
+            for z in zs:
+                m = orders[z]
+                if proj[self.power(z, m // pp[0])] in powers[m]:
                     continue
-                a = Subgroup(self, frozenset(zmap[i] for i in a_small.members))
-                for b in comp_cands:
-                    if a.order * b.order == self.n and len(a.members & b.members) == 1:
-                        return (False, (a, b))
+                zq = {ab.power(proj[z], i) for i in range(m)}
+                for c in ab.normal_subgroups():
+                    if c.order * m == ab.n and len(c.members & zq) == 1:
+                        b = Subgroup(self, frozenset(x for x in range(self.n) if proj[x] in c))
+                        return (False, (self.generated_subgroup([z]), b))
+                raise InvariantError(f"<zG'> of order {m} is pure but has no complement")
             return (True, None)
 
         return self._memo("purely_nonabelian", compute)

@@ -221,6 +221,34 @@ def unpruned_direct_factor(g):
     return None
 
 
+def direct_factor_by_pairs(g):
+    """``FiniteGroup.is_purely_nonabelian`` by the pair search it replaced:
+    any abelian direct factor is central and its complement contains G',
+    so try every nontrivial subgroup A of Z(G), read from the lattice of a
+    copy of Z(G), against every preimage B of a subgroup of G/G'."""
+    if g.n == 1:
+        return (True, None)
+    if g.is_abelian():
+        return (False, (g.full_subgroup(), g.trivial_subgroup()))
+    z = g.center()
+    zg, zmap = z.as_group()
+    dquot = g.quotient(g.derived_subgroup())
+    comp_cands = []
+    for s in dquot.group.normal_subgroups():
+        members = frozenset(
+            x for x in range(g.n) if dquot.projection[x] in s.members
+        )
+        comp_cands.append(Subgroup(g, members))
+    for a_small in zg.normal_subgroups():
+        if a_small.order == 1:
+            continue
+        a = Subgroup(g, frozenset(zmap[i] for i in a_small.members))
+        for b in comp_cands:
+            if a.order * b.order == g.n and len(a.members & b.members) == 1:
+                return (False, (a, b))
+    return (True, None)
+
+
 def is_associative(table):
     """Whether (a*b)*c == a*(b*c) for every triple, by a raw scan of the
     table: row a*b must equal row a read through row b."""

@@ -203,8 +203,11 @@ class TestFiles:
             read_group_file(path)
 
     def test_bad_header(self):
-        with pytest.raises(GroupFileError):
-            parse_group_text("magma 3\n0 1 2\n")
+        # a size below 1 is refused from the header, with or without rows
+        for text in ("magma 3\n0 1 2\n", "perm 0\n", "perm -3\n", "perm 0\n()\n",
+                     "cayley 0\n", "cayley -2\n"):
+            with pytest.raises(GroupFileError):
+                parse_group_text(text)
 
     @pytest.mark.parametrize("body", ["perm {}\n()\n", "cayley {}\n"])
     def test_header_above_ingest_bound(self, body):

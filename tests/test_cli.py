@@ -64,6 +64,13 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path)]) == 2
         assert "OrderBoundExceeded" in capsys.readouterr().err
 
+    def test_header_size_below_1(self, tmp_path, capsys):
+        # once read as the trivial group with status 0
+        path = tmp_path / "empty.perm"
+        path.write_text("perm 0\n()\n")
+        assert cli.main(["analyze", str(path)]) == 2
+        assert "GroupFileError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, error", [("99999999999999999999999", "NotLatinSquareError"),
                                               ("x", "GroupFileError")])
     def test_bad_entry(self, tmp_path, capsys, entry, error):

@@ -15,6 +15,7 @@ from autcrit.catalog import (
     catalog,
     cyclic_group,
     dihedral_group,
+    eval_recipe,
     heisenberg_group,
     permutation_generators,
     quaternion_group,
@@ -41,6 +42,7 @@ from oracles import (
     cayley_rows,
     closure,
     commutator_subgroup,
+    direct_factor_by_pairs,
     element_orders_by_powers,
     greedy_generators_by_closure,
     is_associative,
@@ -649,6 +651,16 @@ class TestClassExponentRank:
             assert g.element_orders() == element_orders_by_powers(g), g.n
 
 
+# groups outside the catalog and the stress recipes, each with an abelian
+# direct factor, up to order 243
+FACTOR_RECIPES = {
+    "Q8xC2^3": "product(quaternion 8, abelian 2 1 1 1)",
+    "He3xC9": "product(heisenberg 3, cyclic 9)",
+    "M16xC2": "product(modular 16, cyclic 2)",
+    "Q8xC8": "product(quaternion 8, cyclic 8)",
+}
+
+
 class TestPurelyNonabelian:
     def test_examples(self):
         assert quaternion_group(8).is_purely_nonabelian()[0]
@@ -666,6 +678,58 @@ class TestPurelyNonabelian:
     def test_abelian_group(self):
         flag, witness = cyclic_group(4).is_purely_nonabelian()
         assert not flag and witness[0].order == 4
+
+    def test_matches_pair_search(self, corpus, stress_groups):
+        # the height test in G/G' against the pair search it replaced; each
+        # witness of a non-abelian G is checked as a direct decomposition
+        groups = {name: g for name, (spec, g) in corpus.items()}
+        groups.update(stress_groups)
+        groups.update((name, eval_recipe(r)) for name, r in FACTOR_RECIPES.items())
+        factored = []
+        for name, g in sorted(groups.items()):
+            flag, witness = g.is_purely_nonabelian()
+            assert flag == direct_factor_by_pairs(g)[0], name
+            if flag or g.is_abelian():
+                continue
+            factored.append(name)
+            a, b = witness
+            assert a.order > 1 and a <= g.center(), name
+            assert any(g.element_order(x) == a.order for x in a.members), name
+            assert a.order * b.order == g.n and a.members & b.members == {0}, name
+            assert g.derived_subgroup() <= b, name
+            assert Subgroup(g, a.members).is_normal() and Subgroup(g, b.members).is_normal(), name
+        assert factored == ["D16xC2", "D8xC2", "D8xC4", "He3xC3", "He3xC9", "M16xC2",
+                            "Q8xC2", "Q8xC2^3", "Q8xC4", "Q8xC4xC2", "Q8xC8"]
+
+    def test_one_quotient_no_copy(self, nonabelian_corpus, monkeypatch):
+        # group_summary builds G/G' once and copies no subgroup; only a
+        # group with an abelian factor reads a lattice, and only G/G''s
+        quotients, lattices, copies = {}, [], []
+        real_quotient, real_normals = FiniteGroup.quotient, FiniteGroup.normal_subgroups
+
+        def quotient(self, kernel):
+            quotients.setdefault(self, []).append(q := real_quotient(self, kernel))
+            return q
+
+        def normal_subgroups(self):
+            lattices.append(self)
+            return real_normals(self)
+
+        monkeypatch.setattr(FiniteGroup, "quotient", quotient)
+        monkeypatch.setattr(FiniteGroup, "normal_subgroups", normal_subgroups)
+        monkeypatch.setattr(Subgroup, "as_group", lambda self: copies.append(self))
+        derived = {}
+        for name, g in nonabelian_corpus.items():
+            fresh = FiniteGroup(g.table)
+            group_summary(fresh, fresh.prime_power()[0])
+            (q,) = quotients.pop(fresh)
+            assert q.kernel == fresh.derived_subgroup() and not quotients, name
+            derived[name] = q.group
+        assert not copies
+        assert {id(h) for h in lattices} == {
+            id(derived[name]) for name in ("D8xC2", "Q8xC2", "D8xC4", "Q8xC4", "D16xC2")}
+        with pytest.raises(NotPGroupError):
+            s3().is_purely_nonabelian()
 
     def test_agrees_with_unpruned_search(self, corpus):
         for name, (spec, g) in sorted(corpus.items()):
