@@ -17,12 +17,14 @@ a product of one representative per level, and the number of members is
 the product of the transversal sizes.  With the levels walked from the
 deepest up, each representative found so far maps the images of h
 reached, and the candidates refuted, onto more of the same, so one
-assignment is searched per orbit, not per candidate.  The products are
-built as rows of one numpy array, one gather per level.
+assignment is searched per orbit, not per candidate.  The search returns
+the transversals, and a set made from them keeps them: its order is the
+product of their sizes, and its members are built only when first read,
+as rows of one numpy array, one gather per level.
 
-A set is one ``bytes`` object, its members' image rows as uint16 (every
-order the ingest bound admits is below 2**16) sorted as byte strings:
-equality and size read the bytes, membership is a binary search, and
+A built set is one ``bytes`` object, its members' image rows as uint16
+(every order the ingest bound admits is below 2**16) sorted as byte
+strings: equality reads the bytes, membership is a binary search, and
 ``Automorphism`` objects are decoded only when ``AutSet.members`` is read.
 
 Every constrained question is about Aut^X_Y(G), the automorphisms alpha
@@ -41,11 +43,13 @@ Aut_Y is ``aut_upper_lower(G, G, Y)``; the full group is X = G, Y = 1.
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
 (X, Y) pairs.  The distinguished subgroups (central, IA, and their
-center-fixing variants) are instead obtained by filtering the full
-enumeration, so corpus verification rests on a single search path.  The
-filter reads each packed row only at the generators of G and Z(G):
-Z(G) and G' are characteristic, so where an automorphism lands on a
-generating set settles membership.
+center-fixing variants) are instead composed from the full group's
+transversals, so corpus verification rests on a single search path.
+Only the members with a(x) in xN at each level generator x are
+composed, and the full group's rows are never built: Z(G) and G' are
+characteristic, so where an automorphism lands on a generating set
+settles membership, and each level generator's image is final once its
+level is gathered.
 """
 
 from __future__ import annotations
@@ -166,19 +170,61 @@ def _canonical(n: int, rows) -> np.ndarray:
 class AutSet:
     """A set of automorphisms of one parent group, tagged by what it is.
 
-    ``data`` is the bytes of its image rows in ``_canonical`` order and
-    ``rows`` a read-only view of them; ``members`` decodes them into
-    ``Automorphism`` objects once, on first use."""
+    A set made by a search (``from_levels``) keeps its level generators
+    ``gens`` and one transversal per level, packed as ``_packed`` rows,
+    and ``len()`` is the product of the transversal sizes; a set made
+    from rows has neither.  ``data``
+    is the bytes of the image rows in ``_canonical`` order, built by
+    ``compose_transversals`` on first read for a set made by a search;
+    ``rows`` is a read-only view of them, and ``members`` decodes them
+    into ``Automorphism`` objects once, on first use."""
 
-    __slots__ = ("parent", "data", "name", "_members")
+    __slots__ = ("parent", "name", "gens", "transversals", "_order", "_data", "_members")
 
     def __init__(self, parent: FiniteGroup, rows: np.ndarray, name: str):
         self.parent = parent
-        self.data = rows.tobytes()
         self.name = name
+        self.gens = self.transversals = None
+        self._order = len(rows)
+        self._data = rows.tobytes()
         self._members = None
         if Automorphism(tuple(range(parent.n))) not in self:
             raise InvariantError(f"{name} automorphism set lacks the identity")
+
+    @classmethod
+    def from_levels(cls, parent: FiniteGroup, gens, transversals, name: str) -> "AutSet":
+        """The products r_0 * r_1 * ... of one representative per level,
+        ``transversals[d]`` the level of ``gens[d]``, with no row built.
+
+        The member bound is checked from the sizes.  In place of the
+        identity and repeated-row checks of a built set, each level must
+        start with the identity, fix the earlier level generators, and send
+        its generator to distinct points; then the products are distinct,
+        as a product's image of gens[d] picks its level-d representative."""
+        s = cls.__new__(cls)
+        s.parent, s.name, s.gens = parent, name, tuple(gens)
+        s._order = _member_count(transversals)
+        s._data = s._members = None
+        identity = tuple(range(parent.n))
+        if len(s.gens) != len(transversals):
+            raise InvariantError(f"{name}: {len(transversals)} levels for {len(s.gens)} generators")
+        for d, (h, reps) in enumerate(zip(s.gens, transversals)):
+            if not reps or tuple(reps[0]) != identity:
+                raise InvariantError(f"{name}: level {d} does not start with the identity")
+            if any(r[x] != x for r in reps for x in s.gens[:d]):
+                raise InvariantError(f"{name}: a level-{d} representative moves an earlier "
+                                     "level generator")
+            if len({r[h] for r in reps}) != len(reps):
+                raise InvariantError(f"{name}: level {d} repeats an image of its generator")
+        # packed once, for every composition of the set and of its subsets
+        s.transversals = [_packed(parent.n, reps) for reps in transversals]
+        return s
+
+    @property
+    def data(self) -> bytes:
+        if self._data is None:
+            self._data = compose_transversals(self.parent.n, self.transversals).tobytes()
+        return self._data
 
     @property
     def rows(self) -> np.ndarray:
@@ -192,7 +238,7 @@ class AutSet:
         return self._members
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._order
 
     def __iter__(self):
         return iter(sorted(self.members, key=lambda a: a.images))
@@ -203,8 +249,9 @@ class AutSet:
         if len(img) != n or min(img) < 0 or max(img) >= n:
             return False
         key = np.array(img, dtype=KEY_DTYPE).view(f"V{n * KEY_DTYPE().itemsize}")
-        i = int(np.frombuffer(self.data, dtype=key.dtype).searchsorted(key)[0]) * key.itemsize
-        return self.data[i:i + key.itemsize] == key.tobytes()
+        data = self.data
+        i = int(np.frombuffer(data, dtype=key.dtype).searchsorted(key)[0]) * key.itemsize
+        return data[i:i + key.itemsize] == key.tobytes()
 
     def __repr__(self) -> str:
         return f"AutSet({self.name}, order={len(self)})"
@@ -229,9 +276,11 @@ def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
     return g._memo("aut_fingerprints", compute)
 
 
-def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
-    """The ``_canonical`` image rows of all automorphisms fixing ``fixed``
-    pointwise with generator images in their ``upper`` cosets.
+def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[list[tuple[int, ...]]]:
+    """One transversal (a list of image tuples, the identity first) per
+    generator of ``g.generating_sequence(fixed.members)``, whose products
+    are all automorphisms fixing ``fixed`` pointwise with generator images
+    in their ``upper`` cosets.
 
     With A_d the members that also fix gens[:d], A_d is the disjoint union
     of r * A_(d+1), one r for each image c of h = gens[d]; the members are
@@ -346,37 +395,60 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> np.ndarray:
                 if len(known) < len(pool):  # a candidate is still open
                     close(known, members, pool, h)
         transversals[depth] = [a for a in known.values() if a is not None]
-    return compose_transversals(n, transversals)
+    return transversals
 
 
-def compose_transversals(n: int, transversals) -> np.ndarray:
-    """The ``_canonical`` image rows of every product r_0 * r_1 * ... of
-    one image tuple per transversal.
-
-    A set above DEFAULT_AUT_MEMBER_BOUND is refused from the transversal
-    sizes before any member is built.  The products are the rows of one
-    array, extended by one gather per level: row i*k + j of
-    ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give distinct
-    products, so a repeated row means a repeated representative, which
-    ``_canonical`` refuses."""
-    expected = prod(len(reps) for reps in transversals)
-    if expected > DEFAULT_AUT_MEMBER_BOUND:
-        raise OrderBoundExceededError(f"{expected} automorphisms exceed member bound "
+def _member_count(transversals) -> int:
+    """The number of products of one representative per transversal; a
+    set above DEFAULT_AUT_MEMBER_BOUND is refused, before any member is built."""
+    count = prod(len(reps) for reps in transversals)
+    if count > DEFAULT_AUT_MEMBER_BOUND:
+        raise OrderBoundExceededError(f"{count} automorphisms exceed member bound "
                                       f"{DEFAULT_AUT_MEMBER_BOUND}")
+    return count
+
+
+def _allowed(n: int, images) -> np.ndarray:
+    """A lookup table over the n points: True at each of ``images``."""
+    ok = np.zeros(n, dtype=bool)
+    ok[images] = True
+    return ok
+
+
+def compose_transversals(n: int, transversals, allowed=None) -> np.ndarray:
+    """The ``_canonical`` image rows of every product r_0 * r_1 * ... of
+    one image tuple per transversal; with ``allowed``, one (h, images)
+    per level, only the products a with a(h) among the images at every
+    level.
+
+    The member bound is checked from the sizes first.  The products are
+    the rows of one array, extended by one gather per level: row i*k + j
+    of ``partial[:, reps]`` is p_i after r_j.  Where every representative
+    of a later level fixes the level's h, as a search's do, a partial
+    product's image of h is final after the level's gather, so the
+    products with a disallowed one are dropped there.  Distinct cosets
+    give distinct products, so a repeated row means a repeated
+    representative, which ``_canonical`` refuses."""
+    _member_count(transversals)
     partial = _packed(n, np.arange(n))
-    for reps in transversals:
+    for d, reps in enumerate(transversals):
         partial = partial[:, _packed(n, reps)].reshape(-1, n)
+        if allowed is not None:
+            h, images = allowed[d]
+            partial = partial[_allowed(n, images)[partial[:, h]]]
     return _canonical(n, partial)
 
 
 def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
-    """All automorphisms of g, by backtracking over generator images."""
+    """All automorphisms of g, by backtracking over generator images, held
+    as the search's transversals.  The search is kept on the group also
+    when the set is refused for the member bound, so a refusal is read
+    again from the transversal sizes, not searched again."""
     _check_bound(g, bound)
-
-    def compute():
-        return AutSet(g, _search(g, g.full_subgroup(), g.trivial_subgroup()), FULL)
-
-    return g._memo("aut_full", compute)
+    one = g.trivial_subgroup()
+    levels = g._memo("aut_full_levels", lambda: _search(g, g.full_subgroup(), one))
+    return g._memo("aut_full",
+                   lambda: AutSet.from_levels(g, g.generating_sequence(), levels, FULL))
 
 
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
@@ -396,15 +468,13 @@ def _require_normal(s: Subgroup, role: str) -> None:
 
 
 def _mask(g: FiniteGroup, base: AutSet, checks) -> np.ndarray:
-    """Which members a of ``base`` have a(x) in ``allowed`` for every
-    (x, allowed) of ``checks``: one pass per point over the rows, by a
+    """Which members a of ``base`` have a(x) in ``images`` for every
+    (x, images) of ``checks``: one pass per point over the rows, by a
     lookup table of allowed images."""
     rows = base.rows
     mask = np.ones(len(rows), dtype=bool)
-    for x, allowed in checks:
-        ok = np.zeros(g.n, dtype=bool)
-        ok[allowed] = True
-        mask &= ok[rows[:, x]]
+    for x, images in checks:
+        mask &= _allowed(g.n, images)[rows[:, x]]
     return mask
 
 
@@ -425,7 +495,8 @@ def aut_upper_lower(
 
     def compute():
         lower = y if meet == y.members else Subgroup(g, meet)
-        return AutSet(g, _search(g, x, lower), UPPER_LOWER_XY)
+        return AutSet.from_levels(g, g.generating_sequence(meet), _search(g, x, lower),
+                                  UPPER_LOWER_XY)
 
     base = g._memo(("aut_upper_lower", x.members, meet), compute)
     checks = [(t, [t]) for t in y.generators() if t not in meet]
@@ -461,18 +532,21 @@ def aut_order(g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None
 
 
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
-    """One of the four distinguished subgroups, filtered out of the full
-    automorphism group (one enumeration path to trust).
+    """One of the four distinguished subgroups, composed from the full
+    automorphism group's transversals (one search path to trust).
 
     CENTRAL: g^-1 a(g) in Z(G) everywhere.  C_STAR: central and fixing
     Z(G) pointwise.  IA: g^-1 a(g) in G' everywhere.  IA_STAR: IA and
     fixing Z(G) pointwise.
 
-    The filter tests generator images only.  Z(G) and G' are
+    Membership is read on generator images only.  Z(G) and G' are
     characteristic, so the x with a(x) in xN form a subgroup, and a is in
-    Aut^N exactly when a(x) in xN for every x of ``g.generating_sequence()``;
-    likewise a fixes Z(G) exactly when it fixes ``z.generators()``.  C_STAR
-    and IA_STAR are filtered out of CENTRAL and IA, not the full group.
+    Aut^N exactly when a(x) in xN for every x of ``g.generating_sequence()``,
+    which are the full group's level generators: CENTRAL and IA compose
+    only the products meeting that at each level, and the full group's
+    rows are not built.  Likewise a fixes Z(G) exactly when it fixes
+    ``z.generators()``, so C_STAR and IA_STAR are filtered out of CENTRAL
+    and IA by ``_mask``.
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
@@ -480,17 +554,16 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     key = ("aut_distinguished", which)
 
     def compute():
-        # (point, allowed images): the coset xN, or x itself for a point fixed
+        # (point, allowed images): x itself for a point fixed, or the coset xN
         if which in (C_STAR, IA_STAR):
             base = distinguished(g, CENTRAL if which == C_STAR else IA, bound=bound)
             checks = [(x, [x]) for x in g.center().generators()]
-        else:
-            base = automorphism_group(g, bound=bound)
-            upper = g.center() if which == CENTRAL else g.derived_subgroup()
-            table = g.table
-            checks = [(x, [table[x][k] for k in upper.members])
-                      for x in g.generating_sequence()]
-        return AutSet(g, base.rows[_mask(g, base, checks)], which)
+            return AutSet(g, base.rows[_mask(g, base, checks)], which)
+        full = automorphism_group(g, bound=bound)
+        upper = g.center() if which == CENTRAL else g.derived_subgroup()
+        table = g.table
+        levels = [(x, [table[x][k] for k in upper.members]) for x in full.gens]
+        return AutSet(g, compose_transversals(g.n, full.transversals, levels), which)
 
     return g._memo(key, compute)
 
@@ -557,8 +630,8 @@ def hom_construct_auts(g: FiniteGroup, x: Subgroup, y: Subgroup) -> AutSet:
 
 
 def autset_equal(s1: AutSet, s2: AutSet) -> bool:
-    """Set equality of members, read on ``data`` (equal sets have equal
-    sorted rows); the parents must be the same group."""
+    """Set equality of members, read on the orders and then on ``data``
+    (equal sets have equal sorted rows); the parents must be the same group."""
     if s1.parent is not s2.parent and s1.parent.table != s2.parent.table:
         raise ParentMismatchError("automorphism sets over different groups")
-    return s1.data == s2.data
+    return len(s1) == len(s2) and s1.data == s2.data

@@ -8,7 +8,8 @@ The parameterised criteria (COR_2_3, COR_2_4, COR_2_5) are swept over
 every admissible tuple of normal subgroups, one row per tuple; the
 predicate decides the first tuple of each invariant key it reads, and
 later tuples reuse that verdict.  The sweeps walk lists of containments
-computed once per group (``containment``) and make no subset test.
+computed once per group (``containment`` and its inverse ``containing``)
+and make no subset test.
 Those containments make the hypotheses hold and the left side a subgroup
 of the right, so a swept row compares two orders, each read from one
 table of |Aut^M_N| by (central M, N) with one row per central M, filled
@@ -126,6 +127,21 @@ def containment(g: FiniteGroup) -> list[list[int]]:
     return g._memo("below", compute)
 
 
+def containing(g: FiniteGroup) -> list[list[int]]:
+    """above[j]: the ascending indices i >= j into ``g.normal_subgroups()``
+    of the normal subgroups holding the j-th, the inverse of
+    ``containment``, built once per group."""
+    def compute():
+        below = containment(g)
+        above: list[list[int]] = [[] for _ in below]
+        for i, b in enumerate(below):
+            for j in b:
+                above[j].append(i)
+        return above
+
+    return g._memo("above", compute)
+
+
 def center_subgroups(g: FiniteGroup) -> list[int]:
     """Indices into ``g.normal_subgroups()`` of the subgroups of Z(G),
     ascending, so the last is Z(G)."""
@@ -168,7 +184,7 @@ def sweep_2_45(g: FiniteGroup):
     ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
     p = g.prime_power()[0]
     normals, zsubs = g.normal_subgroups(), center_subgroups(g)
-    above = [i for i, b in enumerate(containment(g)) if zsubs[-1] in b]
+    above = containing(g)[zsubs[-1]]
     q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
     mp = _ids(normals[i].partition(p) for i in zsubs)
     for i, qn in zip(above, q):
@@ -230,18 +246,28 @@ def verify_group(
     report.lattice = tuple(s.sorted_members for s in normals)
     # |Aut^M_N| for a swept side (M, N), M central, at orders[at[M] + N]:
     # one row of the table per subgroup of Z(G), filled whole on first use
-    zsubs, below = (center_subgroups(g), containment(g)) if normals else ([], [])
+    zsubs, above = (center_subgroups(g), containing(g)) if normals else ([], [])
     at: list = [None] * len(normals)
     for k, m in enumerate(zsubs):
         at[m] = k * len(normals)
     orders: list = [None] * (len(zsubs) * len(normals))
 
     def count(m: int, n: int) -> int:
-        above = [i for i, b in enumerate(below) if m in b]  # M's row: every N above M
-        sides = aut.aut_orders(g, normals[m], [normals[i] for i in above], bound=bound)
-        for i, k in zip(above, sides):
+        row = above[m]  # M's row: every N above M
+        sides = aut.aut_orders(g, normals[m], [normals[i] for i in row], bound=bound)
+        for i, k in zip(row, sides):
             orders[at[m] + i] = k
         return orders[at[m] + n]
+
+    refused: dict = {}  # tag -> its OrderBoundExceededError, raised again on later rows
+
+    def distinguished(tag: str) -> aut.AutSet:
+        if tag not in refused:
+            try:
+                return aut.distinguished(g, tag, bound=bound)
+            except OrderBoundExceededError as exc:
+                refused[tag] = exc
+        raise refused[tag].with_traceback(None)
 
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
@@ -269,7 +295,7 @@ def verify_group(
                     m, n = args[lm], args[ln]
                     small = orders[at[m] + n] or count(m, n)
                     if tag:
-                        large = fixed = fixed or len(aut.distinguished(g, right, bound=bound))
+                        large = fixed = fixed or len(distinguished(right))
                     else:
                         m, n = args[rm], args[rn]
                         large = orders[at[m] + n] or count(m, n)
@@ -277,8 +303,7 @@ def verify_group(
                         raise InvariantError(f"{cid}: left order {small} does not divide {large}")
                     observed = small == large
                 else:
-                    observed = aut.autset_equal(aut.distinguished(g, left, bound=bound),
-                                                aut.distinguished(g, right, bound=bound))
+                    observed = aut.autset_equal(distinguished(left), distinguished(right))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
             elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000  # ms, to the microsecond

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from autcrit import automorphisms
 from autcrit.abelian import hom_order
 from autcrit.automorphisms import (
+    AutSet,
     Automorphism,
     C_STAR,
     CENTRAL,
@@ -156,6 +157,19 @@ class TestInner:
             assert len(inn) * g.center().order == g.n, name
 
 
+def _relabelled(data, groups):
+    """A drawn group g of order <= 32 of ``groups``, and h, g with its
+    elements renumbered by a drawn pi fixing the identity: (g, h, pi, pi^-1)."""
+    names = sorted(name for name, g in groups.items() if g.n <= 32)
+    g = groups[data.draw(st.sampled_from(names))]
+    pi = [0] + data.draw(st.permutations(range(1, g.n)))
+    inv = [0] * g.n
+    for a, b in enumerate(pi):
+        inv[b] = a
+    h = FiniteGroup([[pi[g.mul(inv[a], inv[b])] for b in range(g.n)] for a in range(g.n)])
+    return g, h, pi, inv
+
+
 class TestConstrainedSearches:
     def test_upper_extremes(self, q8):
         one = q8.trivial_subgroup()
@@ -218,16 +232,10 @@ class TestConstrainedSearches:
     def test_relabelling_conjugates_the_search(self, nonabelian_corpus, data):
         # Renumbering the elements by pi (fixing the identity) must carry
         # Aut^X_Y(G) to pi Aut^X_Y(G) pi^-1, whatever the numbering.
-        names = sorted(name for name, g in nonabelian_corpus.items() if g.n <= 32)
-        g = nonabelian_corpus[data.draw(st.sampled_from(names))]
+        g, h, pi, inv = _relabelled(data, nonabelian_corpus)
         normals = g.normal_subgroups()
         x = data.draw(st.sampled_from(normals))
         y = data.draw(st.sampled_from(normals))
-        pi = [0] + data.draw(st.permutations(range(1, g.n)))
-        inv = [0] * g.n
-        for a, b in enumerate(pi):
-            inv[b] = a
-        h = FiniteGroup([[pi[g.mul(inv[a], inv[b])] for b in range(g.n)] for a in range(g.n)])
         hx = h.subgroup(pi[e] for e in x.members)
         hy = h.subgroup(pi[e] for e in y.members)
         expected = {
@@ -290,6 +298,23 @@ class TestDistinguished:
                             filtered(g, tag)
                     continue
                 assert distinguished(g, tag).members == distinguished_members(g, tag), (name, tag)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pruned_levels_match_row_filter(self, nonabelian_corpus, data):
+        # CENTRAL and IA composed level by level, and C_STAR and IA_STAR
+        # filtered from them, against a _mask filter of the built full
+        # group, on a renumbered group
+        _, h, _, _ = _relabelled(data, nonabelian_corpus)
+        found = {tag: distinguished(h, tag).data for tag in (CENTRAL, C_STAR, IA, IA_STAR)}
+        full, table = automorphism_group(h), h.table
+        fixes_z = [(x, [x]) for x in h.center().generators()]
+        for tag, upper, star in ((CENTRAL, h.center(), C_STAR),
+                                 (IA, h.derived_subgroup(), IA_STAR)):
+            checks = [(x, [table[x][k] for k in upper.members]) for x in h.generating_sequence()]
+            assert found[tag] == full.rows[automorphisms._mask(h, full, checks)].tobytes(), tag
+            kept = automorphisms._mask(h, full, checks + fixes_z)
+            assert found[star] == full.rows[kept].tobytes(), star
 
     def test_containments_on_corpus(self, nonabelian_corpus):
         for name, g in sorted(nonabelian_corpus.items()):
@@ -436,6 +461,89 @@ class TestCorpusAutSets:
                 assert full.verify_closed(), name
 
 
+class TestProductForm:
+    """A set made by a search is held as its levels: its order is the
+    product of the transversal sizes, and its rows are built on first read."""
+
+    @staticmethod
+    def _levels(g):
+        return g.generating_sequence(), automorphisms._search(g, g.full_subgroup(),
+                                                              g.trivial_subgroup())
+
+    def test_mutant_levels_raise(self, q8):
+        gens, levels = self._levels(q8)
+        assert autset_equal(AutSet.from_levels(q8, gens, levels, "FULL"), automorphism_group(q8))
+        first, second = levels
+        mutants = [
+            ("repeats an image", [first + [first[1]], second]),
+            ("moves an earlier level generator", [first, second + [first[1]]]),
+            ("does not start with the identity", [first[::-1], second]),
+        ]
+        for message, mutant in mutants:
+            with pytest.raises(InvariantError, match=message):
+                AutSet.from_levels(q8, gens, mutant, "FULL")
+
+    def test_member_bound_refused_with_no_row_built(self, monkeypatch):
+        # |GL(5, 2)| = 9,999,360, read from the sizes
+        g = abelian_group(2, (1, 1, 1, 1, 1))
+        gens, levels = self._levels(g)
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(automorphisms, "compose_transversals", no_rows)
+        monkeypatch.setattr(automorphisms, "_packed", no_rows)
+        with pytest.raises(OrderBoundExceededError, match="9999360 automorphisms exceed"):
+            AutSet.from_levels(g, gens, levels, "FULL")
+
+    def test_len_counts_the_built_rows(self, corpus, monkeypatch):
+        # every set a search makes for the full Aut and for verify_group,
+        # on fresh copies of the catalog and both stress groups
+        made = []
+        real = AutSet.from_levels
+
+        def recording(cls, *args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(AutSet, "from_levels", classmethod(recording))
+        specs = [spec for name, (spec, g) in sorted(corpus.items())
+                 if g.n <= DEFAULT_AUT_BOUND and name not in TestTransversalSearch.TOO_LARGE]
+        for spec in specs + list(STRESS_SPECS):
+            made.clear()
+            g = build_group(spec, fresh=True)
+            automorphism_group(g)
+            verify_group(spec.name, g)
+            assert made, spec.name
+            for s in made:
+                assert len(s) == len(s.rows) == prod(map(len, s.transversals)), (spec.name, s)
+
+    def test_verify_composes_the_full_group_pruned_only(self, monkeypatch):
+        real_full = automorphisms.automorphism_group
+        real_compose = automorphisms.compose_transversals
+        for spec in STRESS_SPECS:
+            fulls, composed = [], []
+
+            def full(g, bound=None):
+                fulls.append(real_full(g, bound=bound))
+                return fulls[-1]
+
+            def compose(n, transversals, allowed=None):
+                composed.append((transversals, allowed))
+                return real_compose(n, transversals, allowed)
+
+            with monkeypatch.context() as m:
+                m.setattr(automorphisms, "automorphism_group", full)
+                m.setattr(automorphisms, "compose_transversals", compose)
+                rep = verify_group(spec.name, build_group(spec, fresh=True))
+            assert rep.rows and all(r.match for r in rep.rows), spec.name
+            assert fulls, spec.name
+            levels = fulls[0].transversals
+            # CENTRAL and IA, each pruned at every level
+            assert sum(t is levels and a is not None for t, a in composed) == 2, spec.name
+            assert not any(t is levels and a is None for t, a in composed), spec.name
+
+
 def _images(autset):
     return {a.images for a in autset.members}
 
@@ -502,22 +610,14 @@ def _orbits(g, fixed, transversals):
     return [sorted(rep[h] for rep in reps) for h, reps in zip(gens, transversals)]
 
 
-def _search_transversals(monkeypatch, g, upper, fixed):
-    """``_search``'s rows and the transversals it composed them from; a set
-    above the member bound is not composed, and its rows are None."""
-    seen = []
-    real = automorphisms.compose_transversals
-
-    def recording(n, transversals):
-        seen.append(transversals)
-        if prod(len(reps) for reps in transversals) > DEFAULT_AUT_MEMBER_BOUND:
-            return None
-        return real(n, transversals)
-
-    with monkeypatch.context() as m:
-        m.setattr(automorphisms, "compose_transversals", recording)
-        rows = automorphisms._search(g, upper, fixed)
-    return rows, seen[0]
+def _search_transversals(g, upper, fixed):
+    """The transversals ``_search`` returns, and the rows composed from
+    them; a set above the member bound is not composed, and its rows are
+    None."""
+    transversals = automorphisms._search(g, upper, fixed)
+    if prod(len(reps) for reps in transversals) > DEFAULT_AUT_MEMBER_BOUND:
+        return None, transversals
+    return compose_transversals(g.n, transversals), transversals
 
 
 class TestOrbitTransversals:
@@ -547,7 +647,7 @@ class TestOrbitTransversals:
         for spec in specs + list(STRESS_SPECS):
             g = build_group(spec, fresh=True)
             for x, y in self._bases(monkeypatch, spec.name, g):
-                rows, got = _search_transversals(monkeypatch, g, x, y)
+                rows, got = _search_transversals(g, x, y)
                 want = transversals_by_candidate(g, x, y)
                 assert _orbits(g, y, got) == _orbits(g, y, want), (spec.name, x.order, y.order)
                 if rows is not None:
@@ -561,10 +661,10 @@ class TestOrbitTransversals:
         # |Aut| = 2,064,384, above the member bound
         ("product(quaternion 8, abelian 2 1 1 1)", [48, 14, 12, 8, 32]),
     ])
-    def test_large_groups_transversal_sizes(self, monkeypatch, recipe, sizes):
+    def test_large_groups_transversal_sizes(self, recipe, sizes):
         g = eval_recipe(recipe)
         full, one = g.full_subgroup(), g.trivial_subgroup()
-        _, got = _search_transversals(monkeypatch, g, full, one)
+        _, got = _search_transversals(g, full, one)
         assert [len(reps) for reps in got] == sizes
         assert _orbits(g, one, got) == _orbits(g, one, transversals_by_candidate(g, full, one))
 
@@ -634,7 +734,7 @@ class TestUpperLowerBase:
                 # with a Y above X meet Y, not with X meet Y itself
                 for y in reversed(normals):
                     got = aut_upper_lower(g, x, y).data
-                    want = automorphisms._search(g, x, y).tobytes()
+                    want = compose_transversals(g.n, automorphisms._search(g, x, y)).tobytes()
                     assert got == want, (name, x.order, y.order)
         for spec in STRESS_SPECS:
             g = build_group(spec, fresh=True)
@@ -642,7 +742,7 @@ class TestUpperLowerBase:
             assert sides
             for x, y in sides:
                 got = aut_upper_lower(g, x, y).data
-                want = automorphisms._search(g, x, y).tobytes()
+                want = compose_transversals(g.n, automorphisms._search(g, x, y)).tobytes()
                 assert got == want, (spec.name, x.order, y.order)
 
     def test_order_counts_the_set(self, nonabelian_corpus, stress_groups):
@@ -723,3 +823,35 @@ class TestUpperLowerBase:
         # and the full Aut of each group
         assert {name: len(s) for name, s in searched.items()} == {"Q8xC4xC2": 28, "He3xC3": 7}
         assert all(len(set(s)) == len(s) for s in searched.values())
+
+    def test_refused_side_searched_once(self, monkeypatch):
+        # |Aut(Q8xC2^3)| = 2,064,384 is above the member bound: its 676
+        # COR_2_4, COR_2_5 and single-group rows are skipped after one
+        # search of the full Aut, not one each
+        g = eval_recipe("product(quaternion 8, abelian 2 1 1 1)")
+        full = []
+        real = automorphisms._search
+
+        def counting(g, upper, fixed):
+            if upper.order == g.n and fixed.order == 1:
+                full.append(upper)
+            return real(g, upper, fixed)
+
+        asked = Counter()
+
+        def asking(g, which, bound=None, real=automorphisms.distinguished):
+            asked[which] += 1
+            return real(g, which, bound=bound)
+
+        monkeypatch.setattr(automorphisms, "_search", counting)
+        monkeypatch.setattr(automorphisms, "distinguished", asking)
+        rep = verify_group("Q8xC2^3", g)
+        skipped = [r for r in rep.rows if r.match is None]
+        assert len(rep.rows) == 82527 and len(skipped) == 676
+        assert all(r.note == "skipped: 2064384 automorphisms exceed member bound "
+                   f"{DEFAULT_AUT_MEMBER_BOUND}" for r in skipped)
+        assert all(r.match for r in rep.rows if r.criterion == "COR_2_3")
+        assert len(full) == 1
+        # each side is refused once, and CENTRAL and IA once more as the
+        # bases of C_STAR and IA_STAR
+        assert asked == {C_STAR: 1, CENTRAL: 2, IA_STAR: 1, IA: 2}

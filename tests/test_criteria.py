@@ -56,7 +56,8 @@ from autcrit.errors import (
     ClassNotTwoError,
     HypothesisViolationError,
 )
-from autcrit.report import center_subgroups, containment, sweep_2_3, sweep_2_45, verify_group
+from autcrit.report import (center_subgroups, containing, containment, sweep_2_3, sweep_2_45,
+                            verify_group)
 from oracles import center_subgroups_by_subsets, sweep_2_3_by_subsets, sweep_2_45_by_subsets
 
 
@@ -609,6 +610,14 @@ class TestContainment:
             expected = [[j for j, s in enumerate(normals) if s.members <= n.members]
                         for n in normals]
             assert containment(g) == expected, name
+
+    def test_inverse_lists_match_scan(self, corpus, stress_groups, q8xc2_3):
+        groups = sorted((name, g) for name, (_, g) in corpus.items() if g.n <= 128)
+        groups += sorted(stress_groups.items()) + [("Q8xC2^3", q8xc2_3)]
+        for name, g in groups:
+            below = containment(g)
+            expected = [[i for i, b in enumerate(below) if j in b] for j in range(len(below))]
+            assert containing(g) == expected, name
 
     def test_sweeps_match_subset_sweeps(self, nonabelian_corpus, stress_groups, q8xc2_3):
         groups = sorted(nonabelian_corpus.items()) + sorted(stress_groups.items())
