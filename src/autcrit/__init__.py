@@ -22,8 +22,6 @@ from .automorphisms import (
     automorphism_group,
     autset_equal,
     distinguished,
-    hom_construct_auts,
-    inner_automorphisms,
 )
 from .criteria import (
     CriterionVerdict,
@@ -73,10 +71,8 @@ __all__ = [
     "embeds",
     "exponent",
     "get_spec",
-    "hom_construct_auts",
     "hom_order",
     "hom_type",
-    "inner_automorphisms",
     "lemma_2_11_check",
     "load_group",
     "rank",

@@ -97,11 +97,6 @@ class PPartition:
     def _text(self) -> str:
         return f"{self.p}^[{','.join(str(e) for e in self.exps)}]"
 
-    def factor_orders(self) -> tuple[int, ...]:
-        """Orders of the cyclic factors, largest first."""
-        return tuple(self.p**e for e in self.exps)
-
-
 @dataclass(frozen=True)
 class HomVerdict:
     """Outcome of a Hom-group equality decision.

@@ -57,14 +57,12 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import prod
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    HypothesisViolationError,
     InvariantError,
     NotNormalError,
     OrderBoundExceededError,
@@ -79,7 +77,6 @@ DEFAULT_AUT_MEMBER_BOUND = 250_000
 KEY_DTYPE = np.uint16
 
 FULL = "FULL"
-INN = "INN"
 CENTRAL = "CENTRAL"
 C_STAR = "C_STAR"
 IA = "IA"
@@ -122,31 +119,6 @@ class Automorphism:
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self * other)(x) = self(other(x))."""
-        a, b = self.images, other.images
-        return Automorphism(tuple(a[b[x]] for x in range(len(a))))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.images)
-        for x, i in enumerate(self.images):
-            inv[i] = x
-        return Automorphism(tuple(inv))
-
-    def verify(self, group: FiniteGroup) -> bool:
-        """Full independent check: bijection fixing 0 that preserves the
-        whole multiplication table."""
-        n = group.n
-        if len(self.images) != n or self.images[0] != 0 or set(self.images) != set(range(n)):
-            return False
-        img = np.array(self.images, dtype=np.int64)
-        t = np.array(group.table, dtype=np.int64)
-        return bool(np.array_equal(img[t], t[np.ix_(img, img)]))
 
 
 def _packed(n: int, rows) -> np.ndarray:
@@ -255,12 +227,6 @@ class AutSet:
 
     def __repr__(self) -> str:
         return f"AutSet({self.name}, order={len(self)})"
-
-    def verify_closed(self) -> bool:
-        """Check closure under composition, which makes a finite set closed
-        under inverses too: a * S is S for every member a (meant for tests)."""
-        rows = self.rows
-        return all(_canonical(self.parent.n, a[rows]).tobytes() == self.data for a in rows)
 
 
 def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
@@ -451,17 +417,6 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
                    lambda: AutSet.from_levels(g, g.generating_sequence(), levels, FULL))
 
 
-def inner_automorphisms(g: FiniteGroup) -> AutSet:
-    """Conjugation maps, one per coset aZ(G); there are |G| / |Z(G)| of them."""
-    def compute():
-        z = g.center().members
-        reps = {min(row[k] for k in z) for row in g.table}  # the least element of aZ(G)
-        rows = [[g.conjugate(a, x) for x in range(g.n)] for a in reps]
-        return AutSet(g, _canonical(g.n, rows), INN)
-
-    return g._memo("aut_inn", compute)
-
-
 def _require_normal(s: Subgroup, role: str) -> None:
     if not s.is_normal():
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
@@ -526,11 +481,6 @@ def aut_orders(g: FiniteGroup, x: Subgroup, ys, bound: int | None = None) -> lis
     return orders
 
 
-def aut_order(g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None) -> int:
-    """|Aut^X_Y(G)|, one ``aut_orders`` count."""
-    return aut_orders(g, x, (y,), bound)[0]
-
-
 def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
     """One of the four distinguished subgroups, composed from the full
     automorphism group's transversals (one search path to trust).
@@ -566,67 +516,6 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
         return AutSet(g, compose_transversals(g.n, full.transversals, levels), which)
 
     return g._memo(key, compute)
-
-
-def hom_automorphism_pairs(
-    g: FiniteGroup, x: Subgroup, y: Subgroup
-) -> list[tuple[tuple[int, ...], Automorphism]]:
-    """The correspondence behind ``hom_construct_auts``.
-
-    Every homomorphism f from G/Y into the central subgroup X <= Y is
-    enumerated through the abelianization of G/Y; it is returned as the
-    tuple of images (elements of X, as parent indices) of a fixed basis
-    of that abelianization, paired with the automorphism
-    alpha_f(g) = g * f(gY).  Componentwise product of the image tuples
-    is the Hom-group operation.
-    """
-    if not x.is_central():
-        raise HypothesisViolationError("X must be central in G")
-    if not x.members <= y.members:
-        raise HypothesisViolationError("X must be contained in Y")
-    if not y.is_normal():
-        raise HypothesisViolationError("Y must be normal")
-    q = g.quotient(y)
-    qab = q.group.quotient(q.group.derived_subgroup())
-    a = qab.group
-    basis = a.abelian_basis()
-
-    # coordinates of every abelianized-quotient element in that basis
-    coords = {}
-    for vec in iproduct(*(range(o) for _, o in basis)):
-        elem = 0
-        for (b, _), k in zip(basis, vec):
-            elem = a.mul(elem, a.power(b, k))
-        coords[elem] = vec
-    if len(coords) != a.n:
-        raise InvariantError(f"basis coordinates reach {len(coords)} of {a.n} elements")
-
-    to_ab = [qab.projection[q.projection[gg]] for gg in range(g.n)]
-    orders = g.element_orders()
-    cand_lists = [[e for e in x.sorted_members if o % orders[e] == 0] for _, o in basis]
-    pairs: list[tuple[tuple[int, ...], Automorphism]] = []
-    for choice in iproduct(*cand_lists):
-        f_val = {}
-        for elem, vec in coords.items():
-            v = 0
-            for e, k in zip(choice, vec):
-                v = g.mul(v, g.power(e, k))
-            f_val[elem] = v
-        images = tuple(g.mul(gg, f_val[to_ab[gg]]) for gg in range(g.n))
-        pairs.append((tuple(choice), Automorphism(images)))
-    return pairs
-
-
-def hom_construct_auts(g: FiniteGroup, x: Subgroup, y: Subgroup) -> AutSet:
-    """Aut^X_Y(G) built constructively from Hom(G/Y, X), for X a central
-    subgroup contained in the normal subgroup Y.
-
-    The result always coincides with the brute-force
-    ``aut_upper_lower(g, x, y)``, and its size is the Hom-group order of
-    the corresponding partitions.
-    """
-    pairs = hom_automorphism_pairs(g, x, y)
-    return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
 
 
 def autset_equal(s1: AutSet, s2: AutSet) -> bool:

@@ -52,25 +52,6 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def format_cycles(perm: tuple[int, ...]) -> str:
-    """Write a 0-based image tuple in 1-based disjoint-cycle notation."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = perm[x]
-        cycles.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-    return "".join(cycles) if cycles else "()"
-
-
 def parse_group_text(text: str) -> FiniteGroup:
     """Parse either file format, dispatching on the header line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -111,6 +92,3 @@ def read_group_file(path: str | Path) -> FiniteGroup:
         raise GroupFileError(f"cannot read {path}: {exc}") from exc
     return parse_group_text(text)
 
-
-def write_cayley_file(group: FiniteGroup, path: str | Path) -> None:
-    Path(path).write_text(group.to_cayley_text())

@@ -427,36 +427,6 @@ class FiniteGroup:
         return self._memo(("partition", p), lambda: self.section_partition(
             self.full_subgroup(), self.trivial_subgroup(), p))
 
-    def abelian_basis(self) -> list[tuple[int, int]]:
-        """Independent cyclic generators of an abelian p-group, as
-        (element, order) pairs with non-increasing orders.
-
-        A maximal-order element spans a direct summand; the remaining
-        generators are lifted from the quotient, choosing coset
-        representatives of the same order.
-        """
-        if not self.is_abelian():
-            raise NotAbelianError("abelian_basis needs an abelian group")
-        if self.n == 1:
-            return []
-        self.prime_power()
-        orders = self.element_orders()
-        g = min(range(self.n), key=lambda a: (-orders[a], a))
-        q = self.quotient(self.generated_subgroup([g]))
-        basis = [(g, orders[g])]
-        for qb, qord in q.group.abelian_basis():
-            lift = min(
-                x for x in range(self.n)
-                if q.projection[x] == qb and orders[x] == qord
-            )
-            basis.append((lift, qord))
-        total = 1
-        for _, o in basis:
-            total *= o
-        if total != self.n:
-            raise InvariantError(f"basis orders multiply to {total}, not {self.n}")
-        return basis
-
     def nilpotence_class(self) -> int:
         """Length of the lower central series down to the trivial group."""
         def compute():
@@ -557,9 +527,6 @@ class FiniteGroup:
 
         return self._memo("normal_subgroups", compute)
 
-    def to_cayley_text(self) -> str:
-        return f"cayley {self.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in self.table)
-
 
 class Subgroup:
     """Subset of a parent group's element indices, closed under products."""
@@ -613,18 +580,6 @@ class Subgroup:
         """Small generating set for this subgroup (greedy, larger orders
         first)."""
         return self._memo("gens", lambda: self.parent.greedy_generators(self.sorted_members))
-
-    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """This subgroup as a standalone FiniteGroup, plus the map from
-        its element indices back to parent indices."""
-        def compute():
-            elems = self.sorted_members
-            pos = {e: i for i, e in enumerate(elems)}
-            t = self.parent.table
-            table = [[pos[t[a][b]] for b in elems] for a in elems]
-            return FiniteGroup(table), elems
-
-        return self._memo("as_group", compute)
 
     def partition(self, p: int | None = None) -> PPartition:
         """Abelian invariants of this subgroup (must be abelian): the

@@ -13,7 +13,9 @@ and make no subset test.
 Those containments make the hypotheses hold and the left side a subgroup
 of the right, so a swept row compares two orders, each read from one
 table of |Aut^M_N| by (central M, N) with one row per central M, filled
-whole by one count when first read; a single-group row compares two sets.
+whole by one count when first read; COR_2_4's right side C* = Aut^Z_Z is
+the cell (Z(G), Z(G)), and only COR_2_5's, the central automorphisms, is
+the order of a distinguished set.  A single-group row compares two sets.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
@@ -275,6 +277,8 @@ def verify_group(
         tag = isinstance(right, str)
         lm, ln = left if sweep else (None, None)
         rm, rn = (None, None) if tag else right
+        # C* = Aut^Z_Z is the order table's cell (Z(G), Z(G)); another tag is a set
+        z = zsubs[-1] if sweep and right == aut.C_STAR else None
         fixed = None  # the order of a distinguished right side, once counted
         for args, key in sweep(g) if sweep else [((), None)]:
             t0 = perf_counter_ns()
@@ -295,7 +299,8 @@ def verify_group(
                     m, n = args[lm], args[ln]
                     small = orders[at[m] + n] or count(m, n)
                     if tag:
-                        large = fixed = fixed or len(distinguished(right))
+                        large = fixed = fixed or (len(distinguished(right)) if z is None
+                                                  else orders[at[z] + z] or count(z, z))
                     else:
                         m, n = args[rm], args[rn]
                         large = orders[at[m] + n] or count(m, n)
@@ -338,10 +343,10 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
 
 
 def reports_to_json_lines(reports: list[Report]) -> str:
-    """One ``json.dumps`` line per row, written from parts: all but the
-    elapsed_ms value is dumped once per distinct (group, order, prime,
-    criterion, predicted, observed, match, clause), and the text of each
-    distinct nonzero float elapsed_ms once."""
+    """One ``json.dumps`` line per row, and no text at all for no rows,
+    written from parts: all but the elapsed_ms value is dumped once per
+    distinct (group, order, prime, criterion, predicted, observed, match,
+    clause), and the text of each distinct nonzero float elapsed_ms once."""
     starts: dict = {}
     ends: dict = {}
     lines = []
@@ -355,13 +360,13 @@ def reports_to_json_lines(reports: list[Report]) -> str:
                 starts[key] = start
             e = r.elapsed_ms
             if type(e) is not float:  # 1 == 1.0, and their text differs
-                end = json.dumps(e) + "}"
+                end = json.dumps(e) + "}\n"
             elif not e:  # 0.0 == -0.0 likewise; json writes a zero as repr does
-                end = f"{e!r}}}"
+                end = f"{e!r}}}\n"
             elif (end := ends.get(e)) is None:
-                end = ends[e] = json.dumps(e) + "}"
+                end = ends[e] = json.dumps(e) + "}\n"
             lines.append(start + end)
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def report_to_text(report: Report, verbose: bool = False) -> str:

@@ -1,25 +1,51 @@
-"""Independent brute-force oracles for freezing expected test values.
+"""Independent brute-force oracles for freezing expected test values,
+and the test-only helpers that check the library's results.
 
-Everything here deliberately avoids the library's arithmetic: abelian
-groups are concrete tuples of residues, homomorphism counts come from
-scanning generator images in the target, and searches are raw set scans
-over multiplication tables.
+Most of what is here avoids the library's arithmetic: abelian groups are
+concrete tuples of residues, homomorphism counts come from scanning
+generator images in the target, and searches are raw set scans over
+multiplication tables.  These rest on library code, and say so:
+
+- ``hom_automorphism_pairs`` and ``hom_construct_auts`` take G/Y and its
+  abelianisation from ``FiniteGroup.quotient``, and ``abelian_basis``
+  lifts a basis through ``quotient`` too; ``hom_construct_auts``,
+  ``inner_automorphisms`` and ``verify_closed`` sort rows with the
+  library's ``_canonical``;
+- ``distinguished_members`` filters the members of ``automorphism_group``;
+- ``all_automorphisms`` and ``transversals_by_candidate`` share the
+  search's generating sequence and fingerprint pools (``_search_parts``);
+- ``direct_factor_by_pairs`` reads ``normal_subgroups`` and ``quotient``;
+- the ``*_by_subsets`` sweeps read ``criteria.mod_derived_part`` and
+  ``Subgroup.partition``.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
+
+import numpy as np
 
 from autcrit import criteria as crit
 from autcrit.automorphisms import (
     C_STAR,
     CENTRAL,
     IA_STAR,
+    UPPER_LOWER_XY,
+    AutSet,
+    Automorphism,
+    _canonical,
     _fingerprints,
     automorphism_group,
 )
-from autcrit.errors import GroupFileError, InvariantError, NoIdentityError
-from autcrit.groups import Subgroup
+from autcrit.errors import (
+    GroupFileError,
+    HypothesisViolationError,
+    InvariantError,
+    NoIdentityError,
+    NotAbelianError,
+)
+from autcrit.groups import FiniteGroup, Subgroup
 
 
 def tuple_elements(p, exps):
@@ -231,7 +257,7 @@ def direct_factor_by_pairs(g):
     if g.is_abelian():
         return (False, (g.full_subgroup(), g.trivial_subgroup()))
     z = g.center()
-    zg, zmap = z.as_group()
+    zg, zmap = as_group(z)
     dquot = g.quotient(g.derived_subgroup())
     comp_cands = []
     for s in dquot.group.normal_subgroups():
@@ -602,3 +628,168 @@ def sweep_2_45_by_subsets(g):
     for i, qn in zip(above, q):
         for k, mpm in zip(zsubs, mp):
             yield (k, i), (qn, mpm)
+
+
+def is_identity(a):
+    return all(i == x for x, i in enumerate(a.images))
+
+
+def compose(a, b):
+    """a after b: (a * b)(x) = a(b(x))."""
+    return Automorphism(tuple(a.images[y] for y in b.images))
+
+
+def inverse(a):
+    inv = [0] * len(a.images)
+    for x, i in enumerate(a.images):
+        inv[i] = x
+    return Automorphism(tuple(inv))
+
+
+def verify(a, g):
+    """Whether ``a`` is an automorphism of g: a bijection fixing 0 that
+    preserves the whole multiplication table."""
+    n = g.n
+    if len(a.images) != n or a.images[0] != 0 or set(a.images) != set(range(n)):
+        return False
+    img = np.array(a.images, dtype=np.int64)
+    t = np.array(g.table, dtype=np.int64)
+    return bool(np.array_equal(img[t], t[np.ix_(img, img)]))
+
+
+def verify_closed(s):
+    """Whether an ``AutSet`` is closed under composition, which makes a
+    finite set closed under inverses too: a * S is S for every member a."""
+    rows = s.rows
+    return all(_canonical(s.parent.n, a[rows]).tobytes() == s.data for a in rows)
+
+
+def inner_automorphisms(g):
+    """Conjugation maps, one per coset aZ(G); there are |G| / |Z(G)| of them."""
+    z = g.center().members
+    reps = {min(row[k] for k in z) for row in g.table}  # the least element of aZ(G)
+    rows = [[g.conjugate(a, x) for x in range(g.n)] for a in reps]
+    return AutSet(g, _canonical(g.n, rows), "INN")
+
+
+def as_group(s):
+    """A subgroup as a standalone ``FiniteGroup``, plus the map from its
+    element indices back to the parent's."""
+    elems = s.sorted_members
+    pos = {e: i for i, e in enumerate(elems)}
+    t = s.parent.table
+    return FiniteGroup([[pos[t[a][b]] for b in elems] for a in elems]), elems
+
+
+def abelian_basis(g):
+    """Independent cyclic generators of an abelian p-group, as (element,
+    order) pairs with non-increasing orders.
+
+    A maximal-order element spans a direct summand; the remaining
+    generators are lifted from the quotient, choosing coset
+    representatives of the same order."""
+    if not g.is_abelian():
+        raise NotAbelianError("abelian_basis needs an abelian group")
+    if g.n == 1:
+        return []
+    g.prime_power()
+    orders = g.element_orders()
+    top = min(range(g.n), key=lambda a: (-orders[a], a))
+    q = g.quotient(g.generated_subgroup([top]))
+    basis = [(top, orders[top])]
+    for qb, qord in abelian_basis(q.group):
+        lift = min(x for x in range(g.n) if q.projection[x] == qb and orders[x] == qord)
+        basis.append((lift, qord))
+    total = 1
+    for _, o in basis:
+        total *= o
+    if total != g.n:
+        raise InvariantError(f"basis orders multiply to {total}, not {g.n}")
+    return basis
+
+
+def factor_orders(part):
+    """Orders of a partition's cyclic factors, largest first."""
+    return tuple(part.p**e for e in part.exps)
+
+
+def hom_automorphism_pairs(g, x, y):
+    """The Adney-Yen correspondence between Hom(G/Y, X) and Aut^X_Y(G),
+    for X a central subgroup contained in the normal subgroup Y.
+
+    Every homomorphism f from G/Y into X is enumerated through the
+    abelianization of G/Y; it is returned as the tuple of images
+    (elements of X, as parent indices) of a fixed basis of that
+    abelianization, paired with the automorphism alpha_f(g) = g * f(gY).
+    Componentwise product of the image tuples is the Hom-group operation.
+    """
+    if not x.is_central():
+        raise HypothesisViolationError("X must be central in G")
+    if not x.members <= y.members:
+        raise HypothesisViolationError("X must be contained in Y")
+    if not y.is_normal():
+        raise HypothesisViolationError("Y must be normal")
+    q = g.quotient(y)
+    qab = q.group.quotient(q.group.derived_subgroup())
+    a = qab.group
+    basis = abelian_basis(a)
+
+    # coordinates of every abelianized-quotient element in that basis
+    coords = {}
+    for vec in product(*(range(o) for _, o in basis)):
+        elem = 0
+        for (b, _), k in zip(basis, vec):
+            elem = a.mul(elem, a.power(b, k))
+        coords[elem] = vec
+    if len(coords) != a.n:
+        raise InvariantError(f"basis coordinates reach {len(coords)} of {a.n} elements")
+
+    to_ab = [qab.projection[q.projection[gg]] for gg in range(g.n)]
+    orders = g.element_orders()
+    cand_lists = [[e for e in x.sorted_members if o % orders[e] == 0] for _, o in basis]
+    pairs = []
+    for choice in product(*cand_lists):
+        f_val = {}
+        for elem, vec in coords.items():
+            v = 0
+            for e, k in zip(choice, vec):
+                v = g.mul(v, g.power(e, k))
+            f_val[elem] = v
+        images = tuple(g.mul(gg, f_val[to_ab[gg]]) for gg in range(g.n))
+        pairs.append((tuple(choice), Automorphism(images)))
+    return pairs
+
+
+def hom_construct_auts(g, x, y):
+    """Aut^X_Y(G) as an ``AutSet``, built from Hom(G/Y, X) by
+    ``hom_automorphism_pairs``; it must equal ``aut_upper_lower(g, x, y)``."""
+    pairs = hom_automorphism_pairs(g, x, y)
+    return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
+
+
+def to_cayley_text(g):
+    """A group's table as a ``cayley n`` file."""
+    return f"cayley {g.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in g.table)
+
+
+def write_cayley_file(g, path):
+    Path(path).write_text(to_cayley_text(g))
+
+
+def format_cycles(perm):
+    """A 0-based image tuple in 1-based disjoint-cycle notation."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = perm[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = perm[x]
+        cycles.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
+    return "".join(cycles) if cycles else "()"

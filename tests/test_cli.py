@@ -111,6 +111,10 @@ class TestVerify:
         assert cli.main(["verify", "C4"]) == 0
         out = capsys.readouterr().out
         assert "ABELIAN_INPUT" in out
+        # no rows: JSON Lines output is empty, not one blank line
+        for argv in (["verify", "C4"], ["verify-all", "--p", "3", "--max-order", "9"]):
+            assert cli.main([*argv, "--format", "json"]) == 0
+            assert capsys.readouterr().out == "", argv
 
     def test_abelian_with_filter_is_error(self, capsys):
         assert cli.main(["verify", "C4", "--criterion", "COR_2_6"]) == 2
@@ -179,7 +183,7 @@ class TestVerify:
         want = "".join(json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n"
                        for r in rows)
         assert report_mod.reports_to_json_lines([rep, rep]) == want + want
-        assert report_mod.reports_to_json_lines([]) == "\n"
+        assert report_mod.reports_to_json_lines([]) == ""
 
     def test_row_times_are_whole_microseconds(self, stress_groups):
         # elapsed_ms is one row's decision time in ms, to the microsecond

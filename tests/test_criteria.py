@@ -17,7 +17,7 @@ from autcrit.automorphisms import (
     CENTRAL,
     IA,
     IA_STAR,
-    aut_order,
+    aut_orders,
     aut_upper_lower,
     autset_equal,
     distinguished,
@@ -530,7 +530,7 @@ def swept_sides(g):
     """(criterion, lattice indices, left AutSet, right AutSet, left order,
     right order) for every swept row of g, each side built once per group:
     as a set by ``aut_upper_lower`` or ``distinguished``, and as an order
-    by ``aut_order`` or ``len``."""
+    by ``aut_orders`` or ``len``."""
     normals = g.normal_subgroups()
     sides = {}
 
@@ -542,7 +542,7 @@ def swept_sides(g):
                 sides[key] = s, len(s)
             else:
                 m, n = normals[key[0]], normals[key[1]]
-                sides[key] = aut_upper_lower(g, m, n), aut_order(g, m, n)
+                sides[key] = aut_upper_lower(g, m, n), aut_orders(g, m, [n])[0]
         return sides[key]
 
     for cid, (_, sweep, _, left, right) in report_mod.CRITERIA.items():

@@ -38,18 +38,22 @@ from autcrit.formats import parse_group_text
 from autcrit.groups import FiniteGroup, Subgroup, _raw_generators, direct_product, subgroup_product
 from autcrit.report import group_summary
 from oracles import (
+    abelian_basis,
     all_subgroups,
+    as_group,
     cayley_rows,
     closure,
     commutator_subgroup,
     direct_factor_by_pairs,
     element_orders_by_powers,
+    factor_orders,
     greedy_generators_by_closure,
     is_associative,
     min_generating_size,
     permutation_table,
     raw_generators,
     section_exps,
+    to_cayley_text,
     unpruned_direct_factor,
 )
 
@@ -213,7 +217,7 @@ class TestCayleyIngestAgainstOracle:
 
     def test_plain_int_rows_and_inverses(self, corpus):
         for name, (spec, g) in sorted(corpus.items()):
-            for h in (g, parse_group_text(g.to_cayley_text()), FiniteGroup(g.table)):
+            for h in (g, parse_group_text(to_cayley_text(g)), FiniteGroup(g.table)):
                 assert all(type(x) is int for row in h.table for x in row), name
                 for a in range(h.n):
                     b = h.inv(a)
@@ -336,7 +340,7 @@ class TestCenterDerived:
         d16 = dihedral_group(16)
         der = d16.derived_subgroup()
         assert der.order == 4
-        dg, _ = der.as_group()
+        dg, _ = as_group(der)
         assert dg.abelian_partition(2) == PPartition(2, (2,))  # cyclic C4
 
     def test_flags(self):
@@ -504,8 +508,14 @@ class TestQuotient:
         "g.full_subgroup().generators()\n"
         "FiniteGroup.join = lambda self, members, gens: frozenset(range(self.n))\n"
         "g.normal_subgroups()\n",
+        # a level that sends its generator to one image twice would count
+        # one member twice
+        "from autcrit.automorphisms import AutSet\n"
+        "from autcrit.catalog import cyclic_group\n"
+        "AutSet.from_levels(cyclic_group(2), (1,), [[(0, 1), (0, 1)]], 'FULL')\n",
     ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
-            "orbit_closure", "swapped_sweep", "cached_sides", "lattice_cover"])
+            "orbit_closure", "swapped_sweep", "cached_sides", "lattice_cover",
+            "level_repeats_image"])
     def test_bad_quotient_raises_under_optimize(self, build):
         # a typed raise, not an assert, so python -O keeps the check
         code = (
@@ -592,8 +602,8 @@ class TestAbelianPartition:
             if part.is_trivial:
                 continue
             g = abelian_group(p, part.exps)
-            basis = g.abelian_basis()
-            assert tuple(o for _, o in basis) == part.factor_orders()
+            basis = abelian_basis(g)
+            assert tuple(o for _, o in basis) == factor_orders(part)
 
 
 class TestClassExponentRank:
@@ -702,10 +712,16 @@ class TestPurelyNonabelian:
                             "Q8xC2", "Q8xC2^3", "Q8xC4", "Q8xC4xC2", "Q8xC8"]
 
     def test_one_quotient_no_copy(self, nonabelian_corpus, monkeypatch):
-        # group_summary builds G/G' once and copies no subgroup; only a
-        # group with an abelian factor reads a lattice, and only G/G''s
-        quotients, lattices, copies = {}, [], []
+        # group_summary builds G/G' once and copies no subgroup: G/G' is
+        # the one group it constructs; only a group with an abelian factor
+        # reads a lattice, and only G/G''s
+        quotients, lattices, built = {}, [], []
         real_quotient, real_normals = FiniteGroup.quotient, FiniteGroup.normal_subgroups
+        real_init = FiniteGroup.__init__
+
+        def init(self, table):
+            built.append(self)
+            real_init(self, table)
 
         def quotient(self, kernel):
             quotients.setdefault(self, []).append(q := real_quotient(self, kernel))
@@ -717,15 +733,16 @@ class TestPurelyNonabelian:
 
         monkeypatch.setattr(FiniteGroup, "quotient", quotient)
         monkeypatch.setattr(FiniteGroup, "normal_subgroups", normal_subgroups)
-        monkeypatch.setattr(Subgroup, "as_group", lambda self: copies.append(self))
+        monkeypatch.setattr(FiniteGroup, "__init__", init)
         derived = {}
         for name, g in nonabelian_corpus.items():
             fresh = FiniteGroup(g.table)
+            built.clear()
             group_summary(fresh, fresh.prime_power()[0])
             (q,) = quotients.pop(fresh)
             assert q.kernel == fresh.derived_subgroup() and not quotients, name
+            assert [id(h) for h in built] == [id(q.group)], name
             derived[name] = q.group
-        assert not copies
         assert {id(h) for h in lattices} == {
             id(derived[name]) for name in ("D8xC2", "Q8xC2", "D8xC4", "Q8xC4", "D16xC2")}
         with pytest.raises(NotPGroupError):
