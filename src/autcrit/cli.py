@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .abelian import PPartition, hom_order, hom_type
 from .catalog import build_group, catalog, load_group
@@ -61,7 +62,7 @@ STRICT_HELP = "exit 1 when a row is left unconfirmed (observed null)"
 
 def _passed(reports, strict: bool) -> bool:
     """No mismatch, and under ``strict`` no unconfirmed row either."""
-    return all(r.all_match and not (strict and any(row.observed is None for row in r.rows))
+    return all(r.all_match and not (strict and any(h.observed is None for h in r.heads))
                for r in reports)
 
 
@@ -160,10 +161,12 @@ def cmd_verify_all(args) -> int:
     else:
         for rep in reports:
             print(report_to_text(rep))
-        total = sum(len(r.rows) for r in reports)
-        skipped = sum(row.match is None for r in reports for row in r.rows)
-        bad = sum(len(r.mismatches) for r in reports)
-        print(f"== {len(reports)} groups, {total} rows, {skipped} skipped, {bad} mismatches ==")
+        n = Counter()  # match -> rows
+        for r in reports:
+            for h, k in Counter(r.head_of).items():
+                n[r.heads[h].match] += k
+        print(f"== {len(reports)} groups, {sum(n.values())} rows, {n[None]} skipped,"
+              f" {n[False]} mismatches ==")
     return 0 if ok else 1
 
 

@@ -17,6 +17,14 @@ whole by one count when first read; COR_2_4's right side C* = Aut^Z_Z is
 the cell (Z(G), Z(G)), and only COR_2_5's, the central automorphisms, is
 the order of a distinguished set.  A single-group row compares two sets.
 
+A report keeps its rows as shared heads plus per-row columns.  A head
+is what rows share: (group, order, prime, criterion, predicted, observed,
+match, clause, note), each distinct one stored once; a row is a head id,
+its elapsed_ms as measured, and its args tuple, three entries in three
+plain lists.  ``Report.rows`` builds ``Row`` objects only when read; the
+verifier, the JSON writer and the CLI's exit status and counts read the
+heads and columns and build none.
+
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
 elapsed_ms is one row's decision time in ms to the microsecond, from
@@ -29,9 +37,10 @@ observed and match null; the reason only appears in the text rendering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from operator import attrgetter
+from collections import Counter
+from dataclasses import dataclass
 from time import perf_counter_ns
+from typing import NamedTuple
 
 from . import automorphisms as aut
 from . import criteria as crit
@@ -63,23 +72,69 @@ class Row:
     args: tuple[int, ...] = ()
 
 
-@dataclass
-class Report:
+class Head(NamedTuple):
+    """What the rows of one outcome share: a row without elapsed_ms and args."""
     group: str
     order: int
-    prime: int | None
-    summary: dict[str, str]
-    rows: list[Row] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    lattice: tuple[tuple[int, ...], ...] = ()
+    prime: int
+    criterion: str
+    predicted: bool | None
+    observed: bool | None
+    match: bool | None
+    clause: str
+    note: str
+
+
+class Report:
+    """One group's summary, notes and rows.
+
+    Row i is ``heads[head_of[i]]`` with ``elapsed[i]``, its elapsed_ms as
+    measured, and ``args[i]``; the three columns are plain lists, and a
+    head is stored once however many rows share it.  ``rows`` is a
+    read-only view that builds every ``Row`` when read, and rows passed
+    in are stored through ``append``.
+    """
+
+    def __init__(self, group: str, order: int, prime: int | None, summary: dict[str, str],
+                 rows=(), notes: list[str] | None = None,
+                 lattice: tuple[tuple[int, ...], ...] = ()):
+        self.group, self.order, self.prime, self.summary = group, order, prime, summary
+        self.notes = [] if notes is None else notes
+        self.lattice = lattice
+        self.heads: list[Head] = []
+        self.head_of: list[int] = []
+        self.elapsed: list[float] = []
+        self.args: list[tuple[int, ...]] = []
+        self._ids: dict[Head, int] = {}  # head -> its index in heads
+        for r in rows:
+            self.append(r)
+
+    def intern(self, head: Head) -> int:
+        """The index of ``head`` in ``heads``, stored on first sight."""
+        h = self._ids.get(head)
+        if h is None:
+            h = self._ids[head] = len(self.heads)
+            self.heads.append(head)
+        return h
+
+    def append(self, r: Row) -> None:
+        self.head_of.append(self.intern(Head(r.group, r.order, r.prime, r.criterion, r.predicted,
+                                             r.observed, r.match, r.clause, r.note)))
+        self.elapsed.append(r.elapsed_ms)
+        self.args.append(r.args)
+
+    def row(self, i: int) -> Row:
+        *head, note = self.heads[self.head_of[i]]
+        return Row(*head, self.elapsed[i], note, self.args[i])
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Every row, built on read."""
+        return tuple(map(self.row, range(len(self.head_of))))
 
     @property
     def all_match(self) -> bool:
-        return all(r.match is not False for r in self.rows)
-
-    @property
-    def mismatches(self) -> list[Row]:
-        return [r for r in self.rows if r.match is False]
+        return all(h.match is not False for h in self.heads)
 
 
 def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
@@ -271,9 +326,12 @@ def verify_group(
                 refused[tag] = exc
         raise refused[tag].with_traceback(None)
 
+    segments = {}  # criterion -> its rows' (head ids, elapsed_ms, args) columns
     for cid in selected:
         predicate, sweep, _, left, right = CRITERIA[cid]
-        verdicts: dict = {}  # invariant key -> (predicted_equal, clause)
+        # invariant key -> (predicted_equal, clause, {(observed, note): head id})
+        verdicts: dict = {}
+        hs, es, xs = segments[cid] = [], [], []
         tag = isinstance(right, str)
         lm, ln = left if sweep else (None, None)
         rm, rn = (None, None) if tag else right
@@ -292,8 +350,8 @@ def verify_group(
                         raise
                     report.notes.append(f"{cid}: skipped ({exc})")
                     continue
-                v = verdicts[key] = (verdict.predicted_equal, verdict.clause)
-            predicted, clause = v
+                v = verdicts[key] = (verdict.predicted_equal, verdict.clause, {})
+            predicted, clause, heads = v
             try:
                 if sweep:  # the left side is a subgroup of the right
                     m, n = args[lm], args[ln]
@@ -312,10 +370,19 @@ def verify_group(
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
             elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000  # ms, to the microsecond
-            match = None if observed is None else observed == predicted
-            report.rows.append(Row(name, g.n, p, cid, predicted, observed, match, clause,
-                                   elapsed, note, args))
-    report.rows.sort(key=attrgetter("criterion"))  # every row has this group
+            h = heads.get((observed, note))
+            if h is None:
+                match = None if observed is None else observed == predicted
+                h = heads[observed, note] = report.intern(
+                    Head(name, g.n, p, cid, predicted, observed, match, clause, note))
+            hs.append(h)
+            es.append(elapsed)
+            xs.append(args)
+    for cid in sorted(segments):  # as a stable sort by criterion would order the rows
+        hs, es, xs = segments[cid]
+        report.head_of += hs
+        report.elapsed += es
+        report.args += xs
     return report
 
 
@@ -345,27 +412,21 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
 def reports_to_json_lines(reports: list[Report]) -> str:
     """One ``json.dumps`` line per row, and no text at all for no rows,
     written from parts: all but the elapsed_ms value is dumped once per
-    distinct (group, order, prime, criterion, predicted, observed, match,
-    clause), and the text of each distinct nonzero float elapsed_ms once."""
-    starts: dict = {}
+    head of a report, and the text of each distinct nonzero float
+    elapsed_ms once."""
     ends: dict = {}
     lines = []
     for rep in reports:
-        for r in rep.rows:
-            key = (r.group, r.order, r.prime, r.criterion, r.predicted, r.observed, r.match,
-                   r.clause)
-            start = starts.get(key)
-            if start is None:
-                start = json.dumps(dict(zip(JSON_FIELDS, key)))[:-1] + ', "elapsed_ms": '
-                starts[key] = start
-            e = r.elapsed_ms
+        starts = [json.dumps(dict(zip(JSON_FIELDS[:-1], h)))[:-1] + ', "elapsed_ms": '
+                  for h in rep.heads]
+        for h, e in zip(rep.head_of, rep.elapsed):
             if type(e) is not float:  # 1 == 1.0, and their text differs
                 end = json.dumps(e) + "}\n"
             elif not e:  # 0.0 == -0.0 likewise; json writes a zero as repr does
                 end = f"{e!r}}}\n"
             elif (end := ends.get(e)) is None:
                 end = ends[e] = json.dumps(e) + "}\n"
-            lines.append(start + end)
+            lines.append(starts[h] + end)
     return "".join(lines)
 
 
@@ -374,38 +435,44 @@ def report_to_text(report: Report, verbose: bool = False) -> str:
     lines.append("  " + "  ".join(f"{k}={v}" for k, v in report.summary.items()))
     for note in report.notes:
         lines.append(f"  note: {note}")
-    by_crit: dict[str, list[Row]] = {}
-    for row in report.rows:
-        by_crit.setdefault(row.criterion, []).append(row)
-    for cid, rows in sorted(by_crit.items()):
-        n_match = sum(1 for r in rows if r.match)
-        n_skip = sum(1 for r in rows if r.match is None)
-        n_bad = sum(1 for r in rows if r.match is False)
-        if len(rows) == 1:
-            r = rows[0]
+    heads, counts = report.heads, Counter(report.head_of)  # rows per head id
+    by_crit: dict[str, list[int]] = {}  # criterion -> its head ids
+    for h, head in enumerate(heads):
+        by_crit.setdefault(head.criterion, []).append(h)
+    printed = {h for h, head in enumerate(heads) if verbose or head.match is False}
+    shown: dict[str, list[Row]] = {}  # criterion -> its printed rows: mismatches, or all
+    if printed:
+        for i, h in enumerate(report.head_of):
+            if h in printed:
+                shown.setdefault(heads[h].criterion, []).append(report.row(i))
+    for cid, hs in sorted(by_crit.items()):
+        n = {True: 0, None: 0, False: 0}
+        for h in hs:
+            n[heads[h].match] += counts[h]
+        total = sum(n.values())
+        if total == 1:
+            r = heads[hs[0]]
             status = "MATCH" if r.match else ("SKIPPED" if r.match is None else "MISMATCH")
             lines.append(
                 f"  {cid:10s} predicted={_tf(r.predicted)} observed={_tf(r.observed)}"
                 f" clause={r.clause:20s} {status}"
             )
-        else:
-            status = "MISMATCH" if n_bad else ("PARTIAL" if n_skip else "MATCH")
-            lines.append(
-                f"  {cid:10s} tuples={len(rows)} match={n_match} skipped={n_skip}"
-                f" mismatch={n_bad} {status}"
-            )
+            continue
+        status = "MISMATCH" if n[False] else ("PARTIAL" if n[None] else "MATCH")
+        lines.append(
+            f"  {cid:10s} tuples={total} match={n[True]} skipped={n[None]}"
+            f" mismatch={n[False]} {status}"
+        )
         labels = CRITERIA[cid][2]
-        shown = rows if verbose else [r for r in rows if r.match is False]
-        for r in shown:
-            if len(rows) > 1:
-                # the skip reason, else each swept subgroup's order and members
-                note = r.note or " ".join(f"{k}=order {len(ms)} {{{','.join(map(str, ms))}}}"
-                                          for k, ms in zip(labels, map(report.lattice.__getitem__,
-                                                                       r.args)))
-                lines.append(
-                    f"    predicted={_tf(r.predicted)} observed={_tf(r.observed)}"
-                    f" clause={r.clause} {note}"
-                )
+        for r in shown.get(cid, ()):
+            # the skip reason, else each swept subgroup's order and members
+            note = r.note or " ".join(f"{k}=order {len(ms)} {{{','.join(map(str, ms))}}}"
+                                      for k, ms in zip(labels, map(report.lattice.__getitem__,
+                                                                   r.args)))
+            lines.append(
+                f"    predicted={_tf(r.predicted)} observed={_tf(r.observed)}"
+                f" clause={r.clause} {note}"
+            )
     return "\n".join(lines)
 
 

@@ -1,9 +1,12 @@
+import gc
 import json
 import subprocess
 import sys
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autcrit import cli
 from autcrit import criteria as crit
@@ -270,6 +273,61 @@ class TestVerifyAll:
     def test_empty_selection(self, capsys):
         assert cli.main(["verify-all", "--max-order", "1"]) == 0
         assert "0 groups" in capsys.readouterr().out
+
+
+class TestRowStore:
+    """A report keeps its rows as shared heads plus per-row columns."""
+
+    def test_verify_to_json_builds_no_row(self, monkeypatch, capsys, stress_groups):
+        made = []
+        real = report_mod.Row
+
+        def recorder(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "Row", recorder)
+        groups = sorted(stress_groups.items())
+        groups += [(name, build_group(get_spec(name))) for name in ("Q8", "D8xC2", "He3")]
+        reports = [verify_group(name, g) for name, g in groups]
+        lines = report_mod.reports_to_json_lines(reports).count("\n")
+        assert lines == sum(len(rep.head_of) for rep in reports) > 20011
+        assert cli.main(["verify-all", "--max-order", "16", "--format", "json"]) == 0
+        assert cli.main(["verify", "Q8xC2", "--format", "json", "--strict"]) == 0
+        assert capsys.readouterr().out
+        assert made == []
+        # the recorder sees what reading the rows builds
+        assert len(reports[-1].rows) == len(made) > 0
+
+    def test_columns_hold_no_tracked_objects(self, stress_groups):
+        rep = verify_group("Q8xC4xC2", stress_groups["Q8xC4xC2"])
+        gc.collect()
+        assert len(rep.head_of) == len(rep.elapsed) == len(rep.args) == 19259
+        for column in (rep.head_of, rep.elapsed, rep.args):
+            assert type(column) is list
+            assert not any(map(gc.is_tracked, column))
+        assert len(rep.heads) == 13
+
+    @given(st.lists(st.builds(
+        report_mod.Row,
+        group=st.sampled_from(["D8", 'Q"8\\x', "C\u00e9"]) | st.text(max_size=4),
+        order=st.sampled_from([8, 16, 27]),
+        prime=st.sampled_from([2, 3]),
+        criterion=st.sampled_from(sorted(report_mod.CRITERIA)),
+        predicted=st.sampled_from([None, True, False]),
+        observed=st.sampled_from([None, True, False]),
+        match=st.sampled_from([None, True, False]),
+        clause=st.sampled_from(["NONE", 'N"ONE']) | st.text(max_size=4),
+        elapsed_ms=st.sampled_from([0.0, -0.0, 1, 1.0, float("inf"), float("nan")]) | st.floats(),
+        note=st.sampled_from(["", "skipped: bound"]) | st.text(max_size=4),
+        args=st.lists(st.integers(0, 40), max_size=4).map(tuple),
+    ), max_size=30))
+    def test_rows_round_trip(self, rows):
+        rep = report_mod.Report("D8", 8, 2, {}, rows)
+        # repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows nan
+        assert list(map(repr, rep.rows)) == list(map(repr, rows))
+        assert report_mod.reports_to_json_lines([rep]) == "".join(
+            json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n" for r in rows)
 
 
 class TestHom:
