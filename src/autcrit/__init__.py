@@ -17,7 +17,6 @@ from .abelian import (
 from .groups import FiniteGroup, Quotient, Subgroup, direct_product
 from .automorphisms import (
     AutSet,
-    Automorphism,
     aut_upper_lower,
     automorphism_group,
     autset_equal,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutSet",
-    "Automorphism",
     "CriterionVerdict",
     "FiniteGroup",
     "GroupSpec",

@@ -38,7 +38,7 @@ UNEQUAL = "UNEQUAL"
 _PARTITION_RE = re.compile(r"^\s*(\d+)\s*\^\s*\[([\d\s,]*)\]\s*$")
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -64,7 +64,7 @@ class PPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         for e in self.exps:
             if e < 1:

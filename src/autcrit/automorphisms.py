@@ -19,44 +19,46 @@ deepest up, each representative found so far maps the images of h
 reached, and the candidates refuted, onto more of the same, so one
 assignment is searched per orbit, not per candidate.  The search returns
 the transversals, and a set made from them keeps them: its order is the
-product of their sizes, and its members are built only when first read,
-as rows of one numpy array, one gather per level.
+product of their sizes, and its members are built only where a census
+or a composed subset needs them, as rows of one numpy array, one gather
+per level.
 
-A built set is one ``bytes`` object, its members' image rows as uint16
-(every order the ingest bound admits is below 2**16) sorted as byte
-strings: equality reads the bytes, membership is a binary search, and
-``Automorphism`` objects are decoded only when ``AutSet.members`` is read.
+An ``AutSet`` is Aut^X_Y(G) for the normal pair (X, Y) it records: the
+automorphisms a with a(g) in gX for every g that also fix Y pointwise.
+The g with a(g) in gX form a subgroup (X is normal), as do the points a
+fixes, so ``_meets`` tests membership on generators alone: a(x) in xX for
+each x of ``g.generating_sequence()``, and a(y) = y for each generator y
+of Y.  That one test prunes the composition of the central and IA
+automorphisms from the full group's transversals, filters C* and IA* out
+of them, and decides ``autset_equal``: two finite subgroups are equal
+exactly when they have the same order and the generators of one lie in
+the other.  No member is built to compare two sets.
 
-Every constrained question is about Aut^X_Y(G), the automorphisms alpha
-with g^-1 alpha(g) in X for every g that also fix Y pointwise, for
-normal X and Y.  ``aut_upper_lower(G, X, Y)`` runs one search per
-(X, X meet Y), memoised on the group: it seeds the partial map with the
-identity on X meet Y, so only a complement of it is searched, and
-restricts the image of each generator g to the coset gX.  Aut^X_Y is
-then the members of that base that fix each generator of Y outside X,
-a generator filter.  ``aut_orders`` counts such sets with no set built,
-on a census of the base taken once: how many members fix exactly each
-set of points.  Every swept Aut^M_N, M <= N central, is such a count on
-the one search for Aut^M_M.  Aut^X is ``aut_upper_lower(G, X, 1)`` and
-Aut_Y is ``aut_upper_lower(G, G, Y)``; the full group is X = G, Y = 1.
+``aut_upper_lower(G, X, Y)`` is one search on (X, Y), memoised on the
+group: it seeds the partial map with the identity on Y, so only a
+complement of Y is searched, and restricts the image of each generator
+g to the coset gX.  ``aut_orders`` counts Aut^X_Y for many Y with no set
+built, on a census of the base Aut^X_(X meet Y) taken once: how many
+members fix exactly each set of points.  Every swept Aut^M_N, M <= N
+central, is such a count on the one search for Aut^M_M.  Aut^X is
+``aut_upper_lower(G, X, 1)`` and Aut_Y is ``aut_upper_lower(G, G, Y)``;
+the full group is X = G, Y = 1.
 
 That keeps the search tractable even where |Aut(G)| explodes (high-rank
 elementary abelian groups), which matters when sweeping all admissible
 (X, Y) pairs.  The distinguished subgroups (central, IA, and their
 center-fixing variants) are instead composed from the full group's
 transversals, so corpus verification rests on a single search path.
-Only the members with a(x) in xN at each level generator x are
-composed, and the full group's rows are never built: Z(G) and G' are
-characteristic, so where an automorphism lands on a generating set
-settles membership, and each level generator's image is final once its
-level is gathered.
+The full group's level generators are ``g.generating_sequence()``, and
+each later representative fixes them, so a partial product's image of a
+level's generator is final once its level is gathered: only the members
+that pass there are composed, and the full group's rows are never built.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -111,16 +113,6 @@ def _check_bound(g: FiniteGroup, bound: int | None) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
-    """A group automorphism stored as the full image array."""
-
-    images: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-
 def _packed(n: int, rows) -> np.ndarray:
     """Image rows of length n as an (m, n) KEY_DTYPE array.  An order
     above 2**16 would truncate the entries, so it raises."""
@@ -130,8 +122,9 @@ def _packed(n: int, rows) -> np.ndarray:
 
 
 def _canonical(n: int, rows) -> np.ndarray:
-    """Image rows of length n sorted as byte strings, as ``AutSet`` stores
-    them; a repeated row raises, as the set would hold it twice."""
+    """Image rows of length n sorted as byte strings, as a composed
+    ``AutSet`` keeps them; a repeated row raises, as the set would hold it
+    twice."""
     packed = np.ascontiguousarray(_packed(n, rows))
     keys = np.sort(packed.view(f"V{n * packed.itemsize}").ravel())
     if (keys[1:] == keys[:-1]).any():
@@ -140,43 +133,44 @@ def _canonical(n: int, rows) -> np.ndarray:
 
 
 class AutSet:
-    """A set of automorphisms of one parent group, tagged by what it is.
+    """Aut^X_Y(G) of one parent group, for the normal pair (X, Y) =
+    (``upper``, ``lower``), tagged by what it is.
 
     A set made by a search (``from_levels``) keeps its level generators
     ``gens`` and one transversal per level, packed as ``_packed`` rows,
-    and ``len()`` is the product of the transversal sizes; a set made
-    from rows has neither.  ``data``
-    is the bytes of the image rows in ``_canonical`` order, built by
-    ``compose_transversals`` on first read for a set made by a search;
-    ``rows`` is a read-only view of them, and ``members`` decodes them
-    into ``Automorphism`` objects once, on first use."""
+    and ``len()`` is the product of the transversal sizes; no member is
+    built.  A composed set keeps its members as ``rows``, in
+    ``_canonical`` order, and has neither."""
 
-    __slots__ = ("parent", "name", "gens", "transversals", "_order", "_data", "_members")
+    __slots__ = ("parent", "upper", "lower", "name", "gens", "transversals", "rows", "_order")
 
-    def __init__(self, parent: FiniteGroup, rows: np.ndarray, name: str):
-        self.parent = parent
-        self.name = name
+    def __init__(self, parent: FiniteGroup, rows: np.ndarray, upper: Subgroup,
+                 lower: Subgroup, name: str):
+        self.parent, self.upper, self.lower, self.name = parent, upper, lower, name
         self.gens = self.transversals = None
+        self.rows = rows
+        rows.setflags(write=False)  # a memoised set is shared by every caller
         self._order = len(rows)
-        self._data = rows.tobytes()
-        self._members = None
-        if Automorphism(tuple(range(parent.n))) not in self:
+        if not (rows == np.arange(parent.n)).all(axis=1).any():
             raise InvariantError(f"{name} automorphism set lacks the identity")
 
     @classmethod
-    def from_levels(cls, parent: FiniteGroup, gens, transversals, name: str) -> "AutSet":
+    def from_levels(cls, parent: FiniteGroup, upper: Subgroup, lower: Subgroup, transversals,
+                    name: str) -> "AutSet":
         """The products r_0 * r_1 * ... of one representative per level,
-        ``transversals[d]`` the level of ``gens[d]``, with no row built.
+        ``transversals[d]`` the level of gens[d], gens the generating
+        sequence ``_search`` extends from ``lower``, with no row built.
 
         The member bound is checked from the sizes.  In place of the
-        identity and repeated-row checks of a built set, each level must
+        identity and repeated-row checks of a composed set, each level must
         start with the identity, fix the earlier level generators, and send
         its generator to distinct points; then the products are distinct,
         as a product's image of gens[d] picks its level-d representative."""
         s = cls.__new__(cls)
-        s.parent, s.name, s.gens = parent, name, tuple(gens)
+        s.parent, s.upper, s.lower, s.name = parent, upper, lower, name
+        s.gens = parent.generating_sequence(lower.members)
         s._order = _member_count(transversals)
-        s._data = s._members = None
+        s.rows = None
         identity = tuple(range(parent.n))
         if len(s.gens) != len(transversals):
             raise InvariantError(f"{name}: {len(transversals)} levels for {len(s.gens)} generators")
@@ -192,41 +186,35 @@ class AutSet:
         s.transversals = [_packed(parent.n, reps) for reps in transversals]
         return s
 
-    @property
-    def data(self) -> bytes:
-        if self._data is None:
-            self._data = compose_transversals(self.parent.n, self.transversals).tobytes()
-        return self._data
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.frombuffer(self.data, dtype=KEY_DTYPE).reshape(-1, self.parent.n)
-
-    @property
-    def members(self) -> frozenset[Automorphism]:
-        """The members as ``Automorphism`` objects, decoded on first use."""
-        if self._members is None:
-            self._members = frozenset(Automorphism(tuple(r)) for r in self.rows.tolist())
-        return self._members
-
     def __len__(self) -> int:
         return self._order
 
-    def __iter__(self):
-        return iter(sorted(self.members, key=lambda a: a.images))
-
-    def __contains__(self, a: Automorphism) -> bool:
-        n, img = self.parent.n, a.images
-        # an entry outside 0..n-1 is in no member, and need not fit KEY_DTYPE
-        if len(img) != n or min(img) < 0 or max(img) >= n:
-            return False
-        key = np.array(img, dtype=KEY_DTYPE).view(f"V{n * KEY_DTYPE().itemsize}")
-        data = self.data
-        i = int(np.frombuffer(data, dtype=key.dtype).searchsorted(key)[0]) * key.itemsize
-        return data[i:i + key.itemsize] == key.tobytes()
-
     def __repr__(self) -> str:
         return f"AutSet({self.name}, order={len(self)})"
+
+
+def _meets(g: FiniteGroup, upper: Subgroup, lower: Subgroup, rows: np.ndarray,
+           at=None) -> np.ndarray:
+    """Which image ``rows`` lie in Aut^X_Y(G), X = ``upper`` and Y =
+    ``lower``: a(x) in xX at each x of ``g.generating_sequence()``, and
+    a(y) = y at each y of ``lower.generators()``.  With ``at``, an index
+    into those points in that order, only the condition there.  The test
+    is a table of the images allowed at each point, built once per pair
+    and memoised on the group."""
+
+    def build():
+        gens, fixed = g.generating_sequence(), lower.generators()
+        allowed = np.zeros((len(gens) + len(fixed), g.n), dtype=bool)
+        for i, x in enumerate(gens):
+            allowed[i, [g.table[x][k] for k in upper.members]] = True
+        allowed[np.arange(len(gens), len(allowed)), np.array(fixed, dtype=np.intp)] = True
+        allowed.setflags(write=False)
+        return np.array(gens + fixed, dtype=np.intp), allowed
+
+    points, allowed = g._memo(("aut_test", upper.members, lower.members), build)
+    if at is not None:
+        return allowed[at][rows[:, points[at]]]
+    return allowed[np.arange(len(points)), rows[:, points]].all(axis=1)
 
 
 def _fingerprints(g: FiniteGroup) -> tuple[tuple, ...]:
@@ -374,34 +362,23 @@ def _member_count(transversals) -> int:
     return count
 
 
-def _allowed(n: int, images) -> np.ndarray:
-    """A lookup table over the n points: True at each of ``images``."""
-    ok = np.zeros(n, dtype=bool)
-    ok[images] = True
-    return ok
-
-
-def compose_transversals(n: int, transversals, allowed=None) -> np.ndarray:
+def compose_transversals(n: int, transversals, keep=None) -> np.ndarray:
     """The ``_canonical`` image rows of every product r_0 * r_1 * ... of
-    one image tuple per transversal; with ``allowed``, one (h, images)
-    per level, only the products a with a(h) among the images at every
-    level.
+    one image tuple per transversal; with ``keep``, a function of a level
+    d and the partial products after its gather that says which to keep,
+    only the products kept at every level.
 
     The member bound is checked from the sizes first.  The products are
     the rows of one array, extended by one gather per level: row i*k + j
-    of ``partial[:, reps]`` is p_i after r_j.  Where every representative
-    of a later level fixes the level's h, as a search's do, a partial
-    product's image of h is final after the level's gather, so the
-    products with a disallowed one are dropped there.  Distinct cosets
-    give distinct products, so a repeated row means a repeated
-    representative, which ``_canonical`` refuses."""
+    of ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give
+    distinct products, so a repeated row means a repeated representative,
+    which ``_canonical`` refuses."""
     _member_count(transversals)
     partial = _packed(n, np.arange(n))
     for d, reps in enumerate(transversals):
         partial = partial[:, _packed(n, reps)].reshape(-1, n)
-        if allowed is not None:
-            h, images = allowed[d]
-            partial = partial[_allowed(n, images)[partial[:, h]]]
+        if keep is not None:
+            partial = partial[keep(d, partial)]
     return _canonical(n, partial)
 
 
@@ -411,10 +388,9 @@ def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
     when the set is refused for the member bound, so a refusal is read
     again from the transversal sizes, not searched again."""
     _check_bound(g, bound)
-    one = g.trivial_subgroup()
-    levels = g._memo("aut_full_levels", lambda: _search(g, g.full_subgroup(), one))
-    return g._memo("aut_full",
-                   lambda: AutSet.from_levels(g, g.generating_sequence(), levels, FULL))
+    full, one = g.full_subgroup(), g.trivial_subgroup()
+    levels = g._memo("aut_full_levels", lambda: _search(g, full, one))
+    return g._memo("aut_full", lambda: AutSet.from_levels(g, full, one, levels, FULL))
 
 
 def _require_normal(s: Subgroup, role: str) -> None:
@@ -422,45 +398,24 @@ def _require_normal(s: Subgroup, role: str) -> None:
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
 
 
-def _mask(g: FiniteGroup, base: AutSet, checks) -> np.ndarray:
-    """Which members a of ``base`` have a(x) in ``images`` for every
-    (x, images) of ``checks``: one pass per point over the rows, by a
-    lookup table of allowed images."""
-    rows = base.rows
-    mask = np.ones(len(rows), dtype=bool)
-    for x, images in checks:
-        mask &= _allowed(g.n, images)[rows[:, x]]
-    return mask
-
-
 def aut_upper_lower(
     g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None
 ) -> AutSet:
     """Aut^X_Y(G): automorphisms alpha with g^-1 alpha(g) in X for every
-    g (those centralizing G/X) that fix Y elementwise.
-
-    One search per (X, X meet Y), memoised on the group: Aut^X_Y lies in
-    Aut^X_(X meet Y), and the points an automorphism fixes form a
-    subgroup, so Aut^X_Y is the members of that base fixing each
-    generator of Y outside X.  When Y <= X the base is the answer."""
+    g (those centralizing G/X) that fix Y elementwise, by one search on
+    (X, Y), memoised on the group."""
     _require_normal(x, "upper")
     _require_normal(y, "lower")
     _check_bound(g, bound)
-    meet = x.members & y.members
-
-    def compute():
-        lower = y if meet == y.members else Subgroup(g, meet)
-        return AutSet.from_levels(g, g.generating_sequence(meet), _search(g, x, lower),
-                                  UPPER_LOWER_XY)
-
-    base = g._memo(("aut_upper_lower", x.members, meet), compute)
-    checks = [(t, [t]) for t in y.generators() if t not in meet]
-    return AutSet(g, base.rows[_mask(g, base, checks)], UPPER_LOWER_XY) if checks else base
+    return g._memo(("aut_upper_lower", x.members, y.members),
+                   lambda: AutSet.from_levels(g, x, y, _search(g, x, y), UPPER_LOWER_XY))
 
 
 def _census(base: AutSet) -> list[tuple[int, int]]:
     """(bitmask of the points a member fixes, how many members fix just those)."""
-    fixed = np.packbits(base.rows == np.arange(base.parent.n), axis=1, bitorder="little")
+    n = base.parent.n
+    rows = compose_transversals(n, base.transversals)
+    fixed = np.packbits(rows == np.arange(n), axis=1, bitorder="little")
     return [(int.from_bytes(m, "little"), k) for m, k in Counter(map(bytes, fixed)).items()]
 
 
@@ -485,42 +440,48 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     """One of the four distinguished subgroups, composed from the full
     automorphism group's transversals (one search path to trust).
 
-    CENTRAL: g^-1 a(g) in Z(G) everywhere.  C_STAR: central and fixing
-    Z(G) pointwise.  IA: g^-1 a(g) in G' everywhere.  IA_STAR: IA and
-    fixing Z(G) pointwise.
+    CENTRAL = Aut^Z_1: g^-1 a(g) in Z(G) everywhere.  C_STAR = Aut^Z_Z:
+    central and fixing Z(G) pointwise.  IA = Aut^(G')_1: g^-1 a(g) in G'
+    everywhere.  IA_STAR = Aut^(G')_Z: IA and fixing Z(G) pointwise.
 
-    Membership is read on generator images only.  Z(G) and G' are
-    characteristic, so the x with a(x) in xN form a subgroup, and a is in
-    Aut^N exactly when a(x) in xN for every x of ``g.generating_sequence()``,
-    which are the full group's level generators: CENTRAL and IA compose
-    only the products meeting that at each level, and the full group's
-    rows are not built.  Likewise a fixes Z(G) exactly when it fixes
-    ``z.generators()``, so C_STAR and IA_STAR are filtered out of CENTRAL
-    and IA by ``_mask``.
+    CENTRAL and IA compose only the products that ``_meets`` passes at
+    each level's generator, and the full group's rows are not built;
+    C_STAR and IA_STAR are the members of CENTRAL and IA that it passes
+    for (Z, Z) and (G', Z).
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
     _check_bound(g, bound)
-    key = ("aut_distinguished", which)
 
     def compute():
-        # (point, allowed images): x itself for a point fixed, or the coset xN
         if which in (C_STAR, IA_STAR):
             base = distinguished(g, CENTRAL if which == C_STAR else IA, bound=bound)
-            checks = [(x, [x]) for x in g.center().generators()]
-            return AutSet(g, base.rows[_mask(g, base, checks)], which)
+            z = g.center()
+            return AutSet(g, base.rows[_meets(g, base.upper, z, base.rows)], base.upper, z,
+                          which)
         full = automorphism_group(g, bound=bound)
         upper = g.center() if which == CENTRAL else g.derived_subgroup()
-        table = g.table
-        levels = [(x, [table[x][k] for k in upper.members]) for x in full.gens]
-        return AutSet(g, compose_transversals(g.n, full.transversals, levels), which)
+        one = g.trivial_subgroup()
+        # level d's generator is the test's point d: both are g.generating_sequence()
+        rows = compose_transversals(
+            g.n, full.transversals, lambda d, rows: _meets(g, upper, one, rows, d))
+        return AutSet(g, rows, upper, one, which)
 
-    return g._memo(key, compute)
+    return g._memo(("aut_distinguished", which), compute)
 
 
 def autset_equal(s1: AutSet, s2: AutSet) -> bool:
-    """Set equality of members, read on the orders and then on ``data``
-    (equal sets have equal sorted rows); the parents must be the same group."""
+    """Whether two automorphism subgroups of one group are equal.  Two
+    finite subgroups are equal exactly when they have the same order and
+    the generators of one lie in the other: here ``_meets`` for s2's
+    (X, Y) on s1's generators, the identity and its transversal
+    representatives for a search, its rows for a composed set.  The
+    parents must be the same group."""
     if s1.parent is not s2.parent and s1.parent.table != s2.parent.table:
         raise ParentMismatchError("automorphism sets over different groups")
-    return len(s1) == len(s2) and s1.data == s2.data
+    if len(s1) != len(s2):
+        return False
+    n, gens = s1.parent.n, s1.rows
+    if gens is None:  # a set may have no level: the identity, then every representative
+        gens = np.concatenate([_packed(n, range(n)), *s1.transversals])
+    return bool(_meets(s2.parent, s2.upper, s2.lower, gens).all())

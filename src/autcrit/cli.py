@@ -33,6 +33,7 @@ from .report import (
     report_to_text,
     reports_to_json_lines,
     select_specs,
+    selected_criteria,
     verify_group,
     verify_specs,
 )
@@ -153,6 +154,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    selected_criteria(args.criterion)  # an unknown id fails here, also when no group is selected
     specs = select_specs(max_order=args.max_order, prime=args.p)
     reports = verify_specs(specs, args.criterion, force=args.force)
     ok = _passed(reports, args.strict)

@@ -44,9 +44,10 @@ from typing import NamedTuple
 
 from . import automorphisms as aut
 from . import criteria as crit
+from .abelian import is_prime
 from .catalog import GroupSpec, build_group, catalog
-from .errors import AbelianInputError, ClassNotTwoError, InvariantError, NotAbelianError
-from .errors import OrderBoundExceededError
+from .errors import AbelianInputError, ClassNotTwoError, ConfigError, InvariantError
+from .errors import NotAbelianError, OrderBoundExceededError
 from .groups import FiniteGroup
 
 
@@ -285,11 +286,7 @@ def verify_group(
     pp = g.prime_power()
     p = pp[0] if pp else None
     report = Report(name, g.n, p, group_summary(g, p))
-    # a repeated id runs once, in first-seen order
-    selected = list(dict.fromkeys(criteria_filter or CRITERIA))
-    for c in selected:
-        if c not in CRITERIA:
-            raise ValueError(f"unknown criterion id {c!r}")
+    selected = selected_criteria(criteria_filter)
     if g.n == 1 or g.is_abelian():
         if explicit:
             raise AbelianInputError(
@@ -398,7 +395,24 @@ def verify_specs(
     return reports
 
 
+def selected_criteria(criteria_filter: list[str] | None = None) -> list[str]:
+    """The criterion ids to run: each of ``criteria_filter`` once, in
+    first-seen order, or every criterion; an unknown id raises ConfigError."""
+    selected = list(dict.fromkeys(criteria_filter or CRITERIA))
+    for c in selected:
+        if c not in CRITERIA:
+            raise ConfigError(f"unknown criterion id {c!r}")
+    return selected
+
+
 def select_specs(max_order: int | None = None, prime: int | None = None) -> list[GroupSpec]:
+    """The catalog groups of order at most ``max_order`` and of prime
+    ``prime``; a ``max_order`` below 1 or a ``prime`` that is not a prime
+    raises ConfigError, as it could select no group."""
+    if max_order is not None and max_order < 1:
+        raise ConfigError(f"maximum order {max_order} is below 1")
+    if prime is not None and not is_prime(prime):
+        raise ConfigError(f"{prime} is not a prime")
     specs = []
     for spec in catalog():
         if prime is not None and spec.prime != prime:

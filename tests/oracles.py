@@ -8,9 +8,11 @@ multiplication tables.  These rest on library code, and say so:
 
 - ``hom_automorphism_pairs`` and ``hom_construct_auts`` take G/Y and its
   abelianisation from ``FiniteGroup.quotient``, and ``abelian_basis``
-  lifts a basis through ``quotient`` too; ``hom_construct_auts``,
-  ``inner_automorphisms`` and ``verify_closed`` sort rows with the
-  library's ``_canonical``;
+  lifts a basis through ``quotient`` too; ``hom_construct_auts`` and
+  ``verify_closed`` sort rows with the library's ``_canonical``;
+- ``member_rows`` and ``members`` read an ``AutSet``'s members: a
+  composed set's rows, or a search's products composed by the library's
+  ``compose_transversals``;
 - ``distinguished_members`` filters the members of ``automorphism_group``;
 - ``all_automorphisms`` and ``transversals_by_candidate`` share the
   search's generating sequence and fingerprint pools (``_search_parts``);
@@ -19,6 +21,7 @@ multiplication tables.  These rest on library code, and say so:
   ``Subgroup.partition``.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -33,10 +36,10 @@ from autcrit.automorphisms import (
     IA_STAR,
     UPPER_LOWER_XY,
     AutSet,
-    Automorphism,
     _canonical,
     _fingerprints,
     automorphism_group,
+    compose_transversals,
 )
 from autcrit.errors import (
     GroupFileError,
@@ -46,6 +49,41 @@ from autcrit.errors import (
     NotAbelianError,
 )
 from autcrit.groups import FiniteGroup, Subgroup
+
+
+@dataclass(frozen=True, slots=True)
+class Automorphism:
+    """A group automorphism stored as the full image array."""
+
+    images: tuple[int, ...]
+
+    def __call__(self, x: int) -> int:
+        return self.images[x]
+
+
+def member_rows(s):
+    """An ``AutSet``'s members as ``_canonical`` image rows: a composed
+    set's own rows, or every product of a search's transversals."""
+    return s.rows if s.rows is not None else compose_transversals(s.parent.n, s.transversals)
+
+
+def members(s):
+    """An ``AutSet``'s members as a frozenset of ``Automorphism``."""
+    return frozenset(Automorphism(tuple(r)) for r in member_rows(s).tolist())
+
+
+def meets(s, rows):
+    """Which image ``rows`` lie in Aut^X_Y(G) for the (X, Y) that the
+    ``AutSet`` s records, tested at every element: g^-1 a(g) in X for
+    every g of G, and a(y) = y for every y of Y."""
+    g = s.parent
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, g.n)
+    table = np.array(g.table, dtype=np.int64)
+    inv = np.array([g.inv(e) for e in range(g.n)], dtype=np.int64)
+    upper = np.zeros(g.n, dtype=bool)
+    upper[list(s.upper.members)] = True
+    lower = np.array(s.lower.sorted_members, dtype=np.int64)
+    return upper[table[inv, rows]].all(axis=1) & (rows[:, lower] == lower).all(axis=1)
 
 
 def tuple_elements(p, exps):
@@ -516,14 +554,14 @@ def distinguished_members(g, which):
     target = z if which in (CENTRAL, C_STAR) else dsub
     table = g.table
     inv = [g.inv(a) for a in range(g.n)]
-    members = []
-    for a in full.members:
+    found = []
+    for a in members(full):
         im = a.images
         if all(table[inv[x]][im[x]] in target for x in range(g.n)):
             if which in (C_STAR, IA_STAR) and not all(im[x] == x for x in z):
                 continue
-            members.append(a)
-    return frozenset(members)
+            found.append(a)
+    return frozenset(found)
 
 
 def commutator_subgroup(g, h_members):
@@ -660,16 +698,18 @@ def verify(a, g):
 def verify_closed(s):
     """Whether an ``AutSet`` is closed under composition, which makes a
     finite set closed under inverses too: a * S is S for every member a."""
-    rows = s.rows
-    return all(_canonical(s.parent.n, a[rows]).tobytes() == s.data for a in rows)
+    rows = member_rows(s)
+    data = rows.tobytes()
+    return all(_canonical(s.parent.n, a[rows]).tobytes() == data for a in rows)
 
 
 def inner_automorphisms(g):
-    """Conjugation maps, one per coset aZ(G); there are |G| / |Z(G)| of them."""
+    """Conjugation maps, one per coset aZ(G), as a frozenset of
+    ``Automorphism``; there are |G| / |Z(G)| of them.  Inn(G) is no
+    Aut^X_Y(G), so it is no ``AutSet``."""
     z = g.center().members
     reps = {min(row[k] for k in z) for row in g.table}  # the least element of aZ(G)
-    rows = [[g.conjugate(a, x) for x in range(g.n)] for a in reps]
-    return AutSet(g, _canonical(g.n, rows), "INN")
+    return frozenset(Automorphism(tuple(g.conjugate(a, x) for x in range(g.n))) for a in reps)
 
 
 def as_group(s):
@@ -764,7 +804,7 @@ def hom_construct_auts(g, x, y):
     """Aut^X_Y(G) as an ``AutSet``, built from Hom(G/Y, X) by
     ``hom_automorphism_pairs``; it must equal ``aut_upper_lower(g, x, y)``."""
     pairs = hom_automorphism_pairs(g, x, y)
-    return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), UPPER_LOWER_XY)
+    return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), x, y, UPPER_LOWER_XY)
 
 
 def to_cayley_text(g):

@@ -35,6 +35,7 @@ from oracles import (
     count_homs,
     count_homs_killed_by,
     hom_automorphism_pairs,
+    members,
     order_dividing_count_by_factors,
 )
 
@@ -120,7 +121,7 @@ def test_acceptance_3_hom_built_automorphism_sweep(corpus_under_64):
                 pairs = hom_automorphism_pairs(g, x, y)
                 built = frozenset(a for _, a in pairs)
                 brute = aut_upper_lower(g, x, y)
-                assert built == brute.members, (name, x, y)
+                assert built == members(brute), (name, x, y)
                 assert len(pairs) == hom_order(qab_part, x.partition(p)), (name, x, y)
                 by_choice = {c: a for c, a in pairs}
                 for c1, a1 in pairs:

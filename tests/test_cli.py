@@ -129,6 +129,7 @@ class TestVerify:
 
     def test_unknown_criterion(self, capsys):
         assert cli.main(["verify", "Q8", "--criterion", "COR_9_9"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_verify_from_file(self, tmp_path, capsys):
         path = tmp_path / "d8.perm"
@@ -273,6 +274,15 @@ class TestVerifyAll:
     def test_empty_selection(self, capsys):
         assert cli.main(["verify-all", "--max-order", "1"]) == 0
         assert "0 groups" in capsys.readouterr().out
+        assert cli.main(["verify-all", "--p", "5"]) == 0  # a prime with no catalog group
+        assert "0 groups" in capsys.readouterr().out
+        # bad selection flags fail before any group is selected, not vacuously
+        for argv in (["--p", "4"], ["--p", "1"], ["--p", "5", "--criterion", "BOGUS"],
+                     ["--max-order", "8", "--criterion", "BOGUS"], ["--max-order", "0"],
+                     ["--max-order", "-5"]):
+            assert cli.main(["verify-all", *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert "ConfigError" in captured.err and captured.out == "", argv
 
 
 class TestRowStore:

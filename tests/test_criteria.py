@@ -58,7 +58,8 @@ from autcrit.errors import (
 )
 from autcrit.report import (center_subgroups, containing, containment, sweep_2_3, sweep_2_45,
                             verify_group)
-from oracles import center_subgroups_by_subsets, sweep_2_3_by_subsets, sweep_2_45_by_subsets
+from oracles import (center_subgroups_by_subsets, member_rows, sweep_2_3_by_subsets,
+                     sweep_2_45_by_subsets)
 
 
 def by_name(name):
@@ -559,7 +560,8 @@ def sweep_groups(corpus, stress_groups):
 
 def member_keys(s):
     """An AutSet's members as one sorted void key per image row."""
-    return np.frombuffer(s.data, dtype=f"V{s.rows.itemsize * s.parent.n}")
+    rows = np.ascontiguousarray(member_rows(s))
+    return rows.view(f"V{rows.itemsize * s.parent.n}").ravel()
 
 
 class TestSweptSides:

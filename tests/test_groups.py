@@ -512,7 +512,8 @@ class TestQuotient:
         # one member twice
         "from autcrit.automorphisms import AutSet\n"
         "from autcrit.catalog import cyclic_group\n"
-        "AutSet.from_levels(cyclic_group(2), (1,), [[(0, 1), (0, 1)]], 'FULL')\n",
+        "g = cyclic_group(2)\n"
+        "AutSet.from_levels(g, g.full_subgroup(), g.trivial_subgroup(), [[(0, 1), (0, 1)]], 'FULL')\n",
     ], ids=["quotient", "criterion_verdict", "hom_verdict", "compose_transversals",
             "orbit_closure", "swapped_sweep", "cached_sides", "lattice_cover",
             "level_repeats_image"])
