@@ -21,7 +21,9 @@ assignment is searched per orbit, not per candidate.  The search returns
 the transversals, and a set made from them keeps them: its order is the
 product of their sizes, and its members are built only where a census
 or a composed subset needs them, as rows of one numpy array, one gather
-per level.
+per level.  Only such a composition is refused for the member bound,
+from the sizes before its first gather; a search's set of any order is
+kept.
 
 An ``AutSet`` is Aut^X_Y(G) for the normal pair (X, Y) it records: the
 automorphisms a with a(g) in gX for every g that also fix Y pointwise.
@@ -57,23 +59,15 @@ that pass there are composed, and the full group's rows are never built.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from math import prod
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvariantError,
-    NotNormalError,
-    OrderBoundExceededError,
-    ParentMismatchError,
-)
+from .errors import InvariantError, NotNormalError, OrderBoundExceededError, ParentMismatchError
 from .groups import FiniteGroup, Subgroup
 
-DEFAULT_AUT_BOUND = 128
-# Largest automorphism set built; |Aut(C2^5)| = 9,999,360 is refused.
+# Most members composed; composing all of Aut(C2^5), 9,999,360, is refused.
 DEFAULT_AUT_MEMBER_BOUND = 250_000
 # One image entry of a stored row; groups.DEFAULT_INGEST_BOUND = 10,000 fits.
 KEY_DTYPE = np.uint16
@@ -86,31 +80,6 @@ IA_STAR = "IA_STAR"
 UPPER_LOWER_XY = "UPPER_LOWER_XY"
 
 DISTINGUISHED_TAGS = (CENTRAL, C_STAR, IA, IA_STAR)
-
-
-def aut_bound() -> int:
-    """Current automorphism order bound (env AUTCRIT_AUT_BOUND overrides);
-    a set value that is not a positive integer raises ConfigError."""
-    raw = os.environ.get("AUTCRIT_AUT_BOUND")
-    if not raw:
-        return DEFAULT_AUT_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not an integer") from None
-    if value < 1:
-        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not positive")
-    return value
-
-
-def _check_bound(g: FiniteGroup, bound: int | None) -> None:
-    """Refuse groups above ``bound`` (default aut_bound()); callers check
-    before any memo lookup, so a cached result never bypasses the bound."""
-    limit = aut_bound() if bound is None else bound
-    if g.n > limit:
-        raise OrderBoundExceededError(
-            f"group order {g.n} exceeds automorphism bound {limit}"
-        )
 
 
 def _packed(n: int, rows) -> np.ndarray:
@@ -139,8 +108,8 @@ class AutSet:
     A set made by a search (``from_levels``) keeps its level generators
     ``gens`` and one transversal per level, packed as ``_packed`` rows,
     and ``len()`` is the product of the transversal sizes; no member is
-    built.  A composed set keeps its members as ``rows``, in
-    ``_canonical`` order, and has neither."""
+    built, so a set of any order is kept.  A composed set keeps its
+    members as ``rows``, in ``_canonical`` order, and has neither."""
 
     __slots__ = ("parent", "upper", "lower", "name", "gens", "transversals", "rows", "_order")
 
@@ -159,17 +128,18 @@ class AutSet:
                     name: str) -> "AutSet":
         """The products r_0 * r_1 * ... of one representative per level,
         ``transversals[d]`` the level of gens[d], gens the generating
-        sequence ``_search`` extends from ``lower``, with no row built.
+        sequence ``_search`` extends from ``lower``, with no row built and
+        no member bound: ``len()`` is the product of the level sizes.
 
-        The member bound is checked from the sizes.  In place of the
-        identity and repeated-row checks of a composed set, each level must
-        start with the identity, fix the earlier level generators, and send
-        its generator to distinct points; then the products are distinct,
-        as a product's image of gens[d] picks its level-d representative."""
+        In place of the identity and repeated-row checks of a composed
+        set, each level must start with the identity, fix the earlier level
+        generators, and send its generator to distinct points; then the
+        products are distinct, as a product's image of gens[d] picks its
+        level-d representative."""
         s = cls.__new__(cls)
         s.parent, s.upper, s.lower, s.name = parent, upper, lower, name
         s.gens = parent.generating_sequence(lower.members)
-        s._order = _member_count(transversals)
+        s._order = prod(len(reps) for reps in transversals)
         s.rows = None
         identity = tuple(range(parent.n))
         if len(s.gens) != len(transversals):
@@ -352,28 +322,23 @@ def _search(g: FiniteGroup, upper: Subgroup, fixed: Subgroup) -> list[list[tuple
     return transversals
 
 
-def _member_count(transversals) -> int:
-    """The number of products of one representative per transversal; a
-    set above DEFAULT_AUT_MEMBER_BOUND is refused, before any member is built."""
-    count = prod(len(reps) for reps in transversals)
-    if count > DEFAULT_AUT_MEMBER_BOUND:
-        raise OrderBoundExceededError(f"{count} automorphisms exceed member bound "
-                                      f"{DEFAULT_AUT_MEMBER_BOUND}")
-    return count
-
-
 def compose_transversals(n: int, transversals, keep=None) -> np.ndarray:
     """The ``_canonical`` image rows of every product r_0 * r_1 * ... of
     one image tuple per transversal; with ``keep``, a function of a level
     d and the partial products after its gather that says which to keep,
     only the products kept at every level.
 
-    The member bound is checked from the sizes first.  The products are
-    the rows of one array, extended by one gather per level: row i*k + j
-    of ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give
-    distinct products, so a repeated row means a repeated representative,
-    which ``_canonical`` refuses."""
-    _member_count(transversals)
+    More than DEFAULT_AUT_MEMBER_BOUND products, kept or not, are refused
+    from the transversal sizes, before the first gather; this is the one
+    place the member bound is checked.  The products are the rows of one
+    array, extended by one gather per level: row i*k + j of
+    ``partial[:, reps]`` is p_i after r_j.  Distinct cosets give distinct
+    products, so a repeated row means a repeated representative, which
+    ``_canonical`` refuses."""
+    count = prod(len(reps) for reps in transversals)
+    if count > DEFAULT_AUT_MEMBER_BOUND:
+        raise OrderBoundExceededError(f"{count} automorphisms exceed member bound "
+                                      f"{DEFAULT_AUT_MEMBER_BOUND}")
     partial = _packed(n, np.arange(n))
     for d, reps in enumerate(transversals):
         partial = partial[:, _packed(n, reps)].reshape(-1, n)
@@ -382,15 +347,14 @@ def compose_transversals(n: int, transversals, keep=None) -> np.ndarray:
     return _canonical(n, partial)
 
 
-def automorphism_group(g: FiniteGroup, bound: int | None = None) -> AutSet:
+def automorphism_group(g: FiniteGroup) -> AutSet:
     """All automorphisms of g, by backtracking over generator images, held
-    as the search's transversals.  The search is kept on the group also
-    when the set is refused for the member bound, so a refusal is read
-    again from the transversal sizes, not searched again."""
-    _check_bound(g, bound)
+    as the search's transversals and memoised on the group, whatever its
+    order: a composition above the member bound is refused again from the
+    memoised sizes, with no search."""
     full, one = g.full_subgroup(), g.trivial_subgroup()
-    levels = g._memo("aut_full_levels", lambda: _search(g, full, one))
-    return g._memo("aut_full", lambda: AutSet.from_levels(g, full, one, levels, FULL))
+    return g._memo("aut_full",
+                   lambda: AutSet.from_levels(g, full, one, _search(g, full, one), FULL))
 
 
 def _require_normal(s: Subgroup, role: str) -> None:
@@ -398,15 +362,12 @@ def _require_normal(s: Subgroup, role: str) -> None:
         raise NotNormalError(f"{role} subgroup of order {s.order} is not normal")
 
 
-def aut_upper_lower(
-    g: FiniteGroup, x: Subgroup, y: Subgroup, bound: int | None = None
-) -> AutSet:
+def aut_upper_lower(g: FiniteGroup, x: Subgroup, y: Subgroup) -> AutSet:
     """Aut^X_Y(G): automorphisms alpha with g^-1 alpha(g) in X for every
     g (those centralizing G/X) that fix Y elementwise, by one search on
     (X, Y), memoised on the group."""
     _require_normal(x, "upper")
     _require_normal(y, "lower")
-    _check_bound(g, bound)
     return g._memo(("aut_upper_lower", x.members, y.members),
                    lambda: AutSet.from_levels(g, x, y, _search(g, x, y), UPPER_LOWER_XY))
 
@@ -419,7 +380,7 @@ def _census(base: AutSet) -> list[tuple[int, int]]:
     return [(int.from_bytes(m, "little"), k) for m, k in Counter(map(bytes, fixed)).items()]
 
 
-def aut_orders(g: FiniteGroup, x: Subgroup, ys, bound: int | None = None) -> list[int]:
+def aut_orders(g: FiniteGroup, x: Subgroup, ys) -> list[int]:
     """|Aut^X_Y(G)| for each Y of ``ys``, with no set built: the members of
     the base Aut^X_(X meet Y) whose fixed points hold Y's generators, summed
     on the base's census, which is memoised next to it."""
@@ -429,14 +390,14 @@ def aut_orders(g: FiniteGroup, x: Subgroup, ys, bound: int | None = None) -> lis
         meet = x.members & y.members
         if meet not in censuses:
             lower = y if meet == y.members else x if meet == x.members else Subgroup(g, meet)
-            base = aut_upper_lower(g, x, lower, bound=bound)
+            base = aut_upper_lower(g, x, lower)
             censuses[meet] = g._memo(("aut_census", x.members, meet), lambda: _census(base))
         need = sum(1 << t for t in y.generators())
         orders.append(sum(k for fixed, k in censuses[meet] if fixed & need == need))
     return orders
 
 
-def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSet:
+def distinguished(g: FiniteGroup, which: str) -> AutSet:
     """One of the four distinguished subgroups, composed from the full
     automorphism group's transversals (one search path to trust).
 
@@ -451,15 +412,14 @@ def distinguished(g: FiniteGroup, which: str, bound: int | None = None) -> AutSe
     """
     if which not in DISTINGUISHED_TAGS:
         raise ValueError(f"unknown distinguished tag {which!r}")
-    _check_bound(g, bound)
 
     def compute():
         if which in (C_STAR, IA_STAR):
-            base = distinguished(g, CENTRAL if which == C_STAR else IA, bound=bound)
+            base = distinguished(g, CENTRAL if which == C_STAR else IA)
             z = g.center()
             return AutSet(g, base.rows[_meets(g, base.upper, z, base.rows)], base.upper, z,
                           which)
-        full = automorphism_group(g, bound=bound)
+        full = automorphism_group(g)
         upper = g.center() if which == CENTRAL else g.derived_subgroup()
         one = g.trivial_subgroup()
         # level d's generator is the test's point d: both are g.generating_sequence()

@@ -10,11 +10,16 @@ Group references are catalog names (``autcrit list``) or paths to
 ``cayley``/``perm`` files.  Hom arguments use the partition syntax
 ``p^[e1,e2,...]``.  The environment variable AUTCRIT_AUT_BOUND caps the
 order of groups whose automorphisms are enumerated; ``--force`` lifts
-the cap for the given run.  Exit status is nonzero whenever a predicted
-verdict disagrees with brute force, or input validation fails; with
-``--strict`` it is also 1 when a row was left unconfirmed (its observed
-verdict is null).  It is 141 when the reader of stdout closes the pipe
-early.
+the cap for the given run, and no other bound.  The subgroup enumeration
+bound (order 128) still holds: ``verify --force`` of a non-abelian group
+of order 243 exits 2 with OrderBoundExceededError, as it does without
+``--force``, unless every ``--criterion`` is a single-group one, which
+reads no normal-subgroup lattice.  A side that would compose more than
+250,000 automorphisms still leaves its rows unconfirmed.  Exit status is
+nonzero whenever a predicted verdict disagrees with brute force, or
+input validation fails; with ``--strict`` it is also 1 when a row was
+left unconfirmed (its observed verdict is null).  It is 141 when the
+reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="criterion id (repeatable), e.g. COR_2_6")
     p_v.add_argument("--format", choices=("text", "json"), default="text")
     p_v.add_argument("--force", action="store_true",
-                     help="enumerate automorphisms even above the bound")
+                     help="enumerate automorphisms above AUTCRIT_AUT_BOUND; the subgroup "
+                          "enumeration bound (order 128) still holds for swept criteria")
     p_v.add_argument("--verbose", action="store_true")
     p_v.add_argument("--strict", action="store_true", help=STRICT_HELP)
     p_v.set_defaults(func=cmd_verify)

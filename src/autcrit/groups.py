@@ -483,7 +483,8 @@ class FiniteGroup:
         as <x>N.  In a p-group, for normal N < K, K/N meets Z(G/N): some x
         in K - N has x**p and [x, t] in N for each generator t of G, so N<x>
         is normal, of index p over N and inside K.  An x in a cover found
-        from N gives that cover again; other groups join conjugacy classes."""
+        from N gives that cover again.  A group that is not a p-group
+        raises NotPGroupError; the trivial group's lattice is {1}."""
         # checked before the memo lookup, so a cached lattice never bypasses it
         if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
@@ -493,30 +494,20 @@ class FiniteGroup:
 
         def compute():
             t, inv, n = self.table, self._inv, self.n
-            try:
-                pp = self.prime_power()
-            except NotPGroupError:
-                pp = None
-            if pp is None:  # not a p-group, or trivial
-                classes = {tuple(sorted({t[t[g][a]][inv[g]] for g in range(n)}))
-                           for a in range(1, n)}
-            else:
-                p, gens = pp[0], self.full_subgroup().generators()
-                powers = self._memo(("powers", p),
-                                    lambda: tuple(self.power(x, p) for x in range(n)))
+            pp = self.prime_power()  # NotPGroupError for a group that is not a p-group
+            p = pp[0] if pp else 1  # the trivial group has no cover to find
+            gens = self.full_subgroup().generators()
+            powers = self._memo(("powers", p), lambda: tuple(self.power(x, p) for x in range(n)))
             found, work = {frozenset({0})}, [frozenset({0})]
             for members in work:  # grows while it is walked, so breadth-first
-                if pp is None:  # a normal subgroup holds all of a class or none of it
-                    news = [self.join(members, c) for c in classes if c[0] not in members]
-                else:
-                    news, covered = [], set(members)
-                    for x in range(1, n):
-                        if x not in covered and powers[x] in members and all(
-                                t[t[inv[x]][inv[s]]][t[x][s]] in members for s in gens):
-                            news.append(cover := self.join(members, (x,)))
-                            if len(cover) != p * len(members):
-                                raise InvariantError(f"a cover of N has order {len(cover)}")
-                            covered |= cover
+                news, covered = [], set(members)
+                for x in range(1, n):
+                    if x not in covered and powers[x] in members and all(
+                            t[t[inv[x]][inv[s]]][t[x][s]] in members for s in gens):
+                        news.append(cover := self.join(members, (x,)))
+                        if len(cover) != p * len(members):
+                            raise InvariantError(f"a cover of N has order {len(cover)}")
+                        covered |= cover
                 work += (fresh := set(news) - found)
                 found |= fresh
             subs = [Subgroup(self, ms) for ms in found]

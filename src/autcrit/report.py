@@ -30,13 +30,19 @@ prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
 elapsed_ms is one row's decision time in ms to the microsecond, from
 ``perf_counter_ns``; rows are sorted by (group name, criterion id) with
 the deterministic sweep order preserved inside a criterion.  Skipped
-brute-force confirmations (automorphism bound exceeded without --force) leave
-observed and match null; the reason only appears in the text rendering.
+brute-force confirmations leave observed and match null; the reason only
+appears in the text rendering.  Two bounds skip rows.  The automorphism
+order bound (``aut_bound()``, AUTCRIT_AUT_BOUND, lifted by ``force``) is
+read and applied here only: above it every row is skipped before any
+call into ``automorphisms``.  The member bound is raised from there, by
+a side whose composition would build too many members, and skips only
+the rows that need that side; ``force`` does not lift it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter_ns
@@ -268,6 +274,25 @@ CRITERIA = {
 }
 
 
+DEFAULT_AUT_BOUND = 128
+
+
+def aut_bound() -> int:
+    """The largest group order whose rows are confirmed by brute force
+    (env AUTCRIT_AUT_BOUND overrides); a set value that is not a positive
+    integer raises ConfigError."""
+    raw = os.environ.get("AUTCRIT_AUT_BOUND")
+    if not raw:
+        return DEFAULT_AUT_BOUND
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not an integer") from None
+    if value < 1:
+        raise ConfigError(f"AUTCRIT_AUT_BOUND={raw!r} is not positive")
+    return value
+
+
 def verify_group(
     name: str,
     g: FiniteGroup,
@@ -278,11 +303,15 @@ def verify_group(
     """Run criteria against brute force for one group.
 
     ``explicit`` means the caller asked for these criteria by id, so an
-    inapplicable criterion raises instead of being skipped.
+    inapplicable criterion raises instead of being skipped.  Above
+    ``aut_bound()``, unless ``force`` lifts it, every row is skipped with
+    no call into ``automorphisms``.
     """
     # Read up front, so a malformed AUTCRIT_AUT_BOUND fails every run,
     # not only the runs that reach a search.
-    bound = aut.aut_bound()
+    bound = aut_bound()
+    skip = "" if force or g.n <= bound else (
+        f"skipped: group order {g.n} exceeds automorphism bound {bound}")
     pp = g.prime_power()
     p = pp[0] if pp else None
     report = Report(name, g.n, p, group_summary(g, p))
@@ -294,8 +323,6 @@ def verify_group(
             )
         report.notes.append("abelian input: all criteria skipped (ABELIAN_INPUT)")
         return report
-    if force:
-        bound = max(bound, g.n)
     normals = g.normal_subgroups() if any(CRITERIA[c][1] for c in selected) else []
     report.lattice = tuple(s.sorted_members for s in normals)
     # |Aut^M_N| for a swept side (M, N), M central, at orders[at[M] + N]:
@@ -308,20 +335,10 @@ def verify_group(
 
     def count(m: int, n: int) -> int:
         row = above[m]  # M's row: every N above M
-        sides = aut.aut_orders(g, normals[m], [normals[i] for i in row], bound=bound)
+        sides = aut.aut_orders(g, normals[m], [normals[i] for i in row])
         for i, k in zip(row, sides):
             orders[at[m] + i] = k
         return orders[at[m] + n]
-
-    refused: dict = {}  # tag -> its OrderBoundExceededError, raised again on later rows
-
-    def distinguished(tag: str) -> aut.AutSet:
-        if tag not in refused:
-            try:
-                return aut.distinguished(g, tag, bound=bound)
-            except OrderBoundExceededError as exc:
-                refused[tag] = exc
-        raise refused[tag].with_traceback(None)
 
     segments = {}  # criterion -> its rows' (head ids, elapsed_ms, args) columns
     for cid in selected:
@@ -337,7 +354,7 @@ def verify_group(
         fixed = None  # the order of a distinguished right side, once counted
         for args, key in sweep(g) if sweep else [((), None)]:
             t0 = perf_counter_ns()
-            note = ""
+            note = skip
             v = verdicts.get(key)
             if v is None:
                 try:
@@ -350,11 +367,13 @@ def verify_group(
                 v = verdicts[key] = (verdict.predicted_equal, verdict.clause, {})
             predicted, clause, heads = v
             try:
-                if sweep:  # the left side is a subgroup of the right
+                if skip:  # no call into automorphisms
+                    observed = None
+                elif sweep:  # the left side is a subgroup of the right
                     m, n = args[lm], args[ln]
                     small = orders[at[m] + n] or count(m, n)
                     if tag:
-                        large = fixed = fixed or (len(distinguished(right)) if z is None
+                        large = fixed = fixed or (len(aut.distinguished(g, right)) if z is None
                                                   else orders[at[z] + z] or count(z, z))
                     else:
                         m, n = args[rm], args[rn]
@@ -363,7 +382,8 @@ def verify_group(
                         raise InvariantError(f"{cid}: left order {small} does not divide {large}")
                     observed = small == large
                 else:
-                    observed = aut.autset_equal(distinguished(left), distinguished(right))
+                    observed = aut.autset_equal(aut.distinguished(g, left),
+                                                aut.distinguished(g, right))
             except OrderBoundExceededError as exc:
                 observed, note = None, f"skipped: {exc}"
             elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000  # ms, to the microsecond

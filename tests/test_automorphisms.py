@@ -15,11 +15,9 @@ from autcrit.automorphisms import (
     AutSet,
     C_STAR,
     CENTRAL,
-    DEFAULT_AUT_BOUND,
     DEFAULT_AUT_MEMBER_BOUND,
     IA,
     IA_STAR,
-    aut_bound,
     aut_orders,
     aut_upper_lower,
     automorphism_group,
@@ -39,7 +37,7 @@ from autcrit.catalog import (
     quaternion_group,
 )
 from autcrit.groups import FiniteGroup
-from autcrit.report import center_subgroups, verify_group
+from autcrit.report import DEFAULT_AUT_BOUND, aut_bound, center_subgroups, verify_group
 from autcrit.errors import (
     ConfigError,
     HypothesisViolationError,
@@ -117,32 +115,61 @@ class TestAutomorphismGroup:
     def test_closed(self, q8):
         assert verify_closed(automorphism_group(q8))
 
-    def test_order_bound(self):
-        g = cyclic_group(16)
-        with pytest.raises(OrderBoundExceededError):
-            automorphism_group(g, bound=8)
+    @staticmethod
+    def _bounded_then_forced(monkeypatch, g):
+        """verify_group on D16xC2 under AUTCRIT_AUT_BOUND=8 skips every row
+        with the group-order note; forced, it confirms every row."""
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", "8")
+        rows = verify_group("D16xC2", g).rows
+        assert rows and all(r.observed is None and r.match is None and
+                            r.note == "skipped: group order 32 exceeds automorphism bound 8"
+                            for r in rows)
+        forced = verify_group("D16xC2", g, force=True).rows
+        assert len(forced) == len(rows) and all(r.match for r in forced)
+
+    def test_order_bound(self, monkeypatch):
+        # a skipped row makes no call into automorphisms
+        g = build_group(get_spec("D16xC2"), fresh=True)
+
+        def no_call(*args):
+            raise AssertionError("automorphisms was called above the bound")
+
+        with monkeypatch.context() as m:
+            for name in ("automorphism_group", "aut_upper_lower", "aut_orders", "distinguished",
+                         "autset_equal", "_search"):
+                m.setattr(automorphisms, name, no_call)
+            m.setenv("AUTCRIT_AUT_BOUND", "8")
+            assert all(r.match is None for r in verify_group("D16xC2", g).rows)
+        self._bounded_then_forced(monkeypatch, g)
 
     @pytest.mark.parametrize("p,exps", [(3, (1, 1, 1, 1)), (2, (1, 1, 1, 1, 1))])
-    def test_member_bound_refused_before_building(self, p, exps):
+    def test_member_bound_refused_before_building(self, monkeypatch, p, exps):
         # |GL(4, 3)| = 24,261,120 and |GL(5, 2)| = 9,999,360 members are
-        # refused from the transversal sizes alone
+        # kept as the search's levels, and composing them is refused from
+        # the transversal sizes alone, with no row gathered
         g = abelian_group(p, exps)
         t0 = time.perf_counter()
-        with pytest.raises(OrderBoundExceededError, match="member bound"):
-            automorphism_group(g)
+        full = automorphism_group(g)
+        assert len(full) == {3: 24_261_120, 2: 9_999_360}[p]
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(automorphisms, "_packed", no_rows)
+        with pytest.raises(OrderBoundExceededError, match=f"{len(full)} automorphisms exceed "
+                                                          "member bound"):
+            compose_transversals(g.n, full.transversals)
         assert time.perf_counter() - t0 < 1.0
 
-    def test_bound_checked_after_caching(self):
+    def test_bound_checked_after_caching(self, monkeypatch):
         g = build_group(get_spec("D16xC2"), fresh=True)
         assert len(automorphism_group(g)) == 256
-        with pytest.raises(OrderBoundExceededError):
-            automorphism_group(g, bound=8)
+        self._bounded_then_forced(monkeypatch, g)
 
-    def test_distinguished_bound_checked_after_caching(self):
+    def test_distinguished_bound_checked_after_caching(self, monkeypatch):
         g = build_group(get_spec("D16xC2"), fresh=True)
         distinguished(g, CENTRAL)
-        with pytest.raises(OrderBoundExceededError):
-            distinguished(g, CENTRAL, bound=8)
+        self._bounded_then_forced(monkeypatch, g)
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
     def test_bad_env_bound_rejected(self, monkeypatch, raw):
@@ -151,8 +178,8 @@ class TestAutomorphismGroup:
             aut_bound()
 
     def test_deterministic(self):
-        a = automorphism_group(quaternion_group(8), bound=None)
-        b = automorphism_group(quaternion_group(8), bound=None)
+        a = automorphism_group(quaternion_group(8))
+        b = automorphism_group(quaternion_group(8))
         assert sorted(x.images for x in members(a)) == sorted(x.images for x in members(b))
 
 
@@ -428,7 +455,7 @@ class TestPackedSets:
         # entries reach 511, so a key narrower than two bytes would merge
         # x -> kx with x -> (k + 256)x
         expected = {tuple(k * x % 512 for x in range(512)) for k in range(1, 512, 2)}
-        assert _images(automorphism_group(cyclic_group(512), bound=512)) == expected
+        assert _images(automorphism_group(cyclic_group(512))) == expected
 
     def test_keys_agree_with_members(self, nonabelian_corpus):
         # every normal pair of each group of order <= 32: each member of a
@@ -502,17 +529,17 @@ class TestProductForm:
                 AutSet.from_levels(q8, full, one, mutant, FULL)
 
     def test_member_bound_refused_with_no_row_built(self, monkeypatch):
-        # |GL(5, 2)| = 9,999,360, read from the sizes
+        # |GL(5, 2)| = 9,999,360: the search's set is kept, and composing
+        # it is refused from the sizes before the first gather
         g = abelian_group(2, (1, 1, 1, 1, 1))
-        full, one, levels = self._levels(g)
+        transversals = automorphism_group(g).transversals
 
         def no_rows(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(automorphisms, "compose_transversals", no_rows)
         monkeypatch.setattr(automorphisms, "_packed", no_rows)
         with pytest.raises(OrderBoundExceededError, match="9999360 automorphisms exceed"):
-            AutSet.from_levels(g, full, one, levels, FULL)
+            compose_transversals(g.n, transversals)
 
     def test_len_counts_the_built_rows(self, corpus, monkeypatch):
         # every set a search makes for the full Aut and for verify_group,
@@ -542,8 +569,8 @@ class TestProductForm:
         for spec in STRESS_SPECS:
             fulls, composed = [], []
 
-            def full(g, bound=None):
-                fulls.append(real_full(g, bound=bound))
+            def full(g):
+                fulls.append(real_full(g))
                 return fulls[-1]
 
             def compose(n, transversals, keep=None):
@@ -727,14 +754,14 @@ class TestUpperLowerBase:
         set or as an order."""
         sides = []
 
-        def sets(g, x, y, bound=None, real=automorphisms.aut_upper_lower):
+        def sets(g, x, y, real=automorphisms.aut_upper_lower):
             sides.append((x, y))
-            return real(g, x, y, bound=bound)
+            return real(g, x, y)
 
-        def orders(g, x, ys, bound=None, real=automorphisms.aut_orders):
+        def orders(g, x, ys, real=automorphisms.aut_orders):
             ys = list(ys)
             sides.extend((x, y) for y in ys)
-            return real(g, x, ys, bound=bound)
+            return real(g, x, ys)
 
         with monkeypatch.context() as m:
             m.setattr(automorphisms, "aut_upper_lower", sets)
@@ -783,9 +810,9 @@ class TestUpperLowerBase:
         for name, g in sorted(nonabelian_corpus.items()) + sorted(stress_groups.items()):
             uppers = []
 
-            def counting(g, x, ys, bound=None):
+            def counting(g, x, ys):
                 uppers.append(x.members)
-                return real(g, x, ys, bound=bound)
+                return real(g, x, ys)
 
             monkeypatch.setattr(automorphisms, "aut_orders", counting)
             rep = verify_group(name, g)
@@ -800,8 +827,8 @@ class TestUpperLowerBase:
         real_sets, real_census = automorphisms.aut_upper_lower, automorphisms._census
         fetched, censuses = {}, []
 
-        def sets(g, x, y, bound=None):
-            base = real_sets(g, x, y, bound=bound)
+        def sets(g, x, y):
+            base = real_sets(g, x, y)
             fetched[id(base)] = base
             return base
 
@@ -848,22 +875,31 @@ class TestUpperLowerBase:
         # full Aut, not one each; COR_2_4 reads |C*| = 256 from the order
         # table's cell (Z, Z), so its 335 rows are confirmed
         g = eval_recipe("product(quaternion 8, abelian 2 1 1 1)")
-        full = []
-        real = automorphisms._search
+        full, searches, gathers, refusals = [], [], [], []
+        real_search, real_packed = automorphisms._search, automorphisms._packed
+        real_compose = automorphisms.compose_transversals
 
         def counting(g, upper, fixed):
+            searches.append(upper)
             if upper.order == g.n and fixed.order == 1:
                 full.append(upper)
-            return real(g, upper, fixed)
+            return real_search(g, upper, fixed)
 
-        asked = Counter()
+        def packing(n, rows):
+            gathers.append(n)
+            return real_packed(n, rows)
 
-        def asking(g, which, bound=None, real=automorphisms.distinguished):
-            asked[which] += 1
-            return real(g, which, bound=bound)
+        def composing(n, transversals, keep=None):
+            before = len(searches), len(gathers)
+            try:
+                return real_compose(n, transversals, keep)
+            except OrderBoundExceededError:
+                refusals.append((len(searches), len(gathers)) == before)
+                raise
 
         monkeypatch.setattr(automorphisms, "_search", counting)
-        monkeypatch.setattr(automorphisms, "distinguished", asking)
+        monkeypatch.setattr(automorphisms, "_packed", packing)
+        monkeypatch.setattr(automorphisms, "compose_transversals", composing)
         rep = verify_group("Q8xC2^3", g)
         skipped = [r for r in rep.rows if r.match is None]
         assert len(rep.rows) == 82527 and len(skipped) == 341
@@ -873,7 +909,6 @@ class TestUpperLowerBase:
         cor_2_4 = [r for r in rep.rows if r.criterion == "COR_2_4"]
         assert len(cor_2_4) == 335 and all(r.match for r in cor_2_4)
         assert len(full) == 1
-        # each side is refused once, and IA once more as the base of
-        # IA_STAR; C_STAR is never asked, as each single-group row naming
-        # it is refused on its other side first
-        assert asked == {CENTRAL: 1, IA_STAR: 1, IA: 2}
+        # every skipped row is refused from the memoised full group's
+        # transversal sizes, with no search and nothing packed or gathered
+        assert refusals == [True] * len(skipped)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from autcrit import cli
 from autcrit import criteria as crit
 from autcrit import report as report_mod
-from autcrit.catalog import build_group, get_spec
+from autcrit.catalog import build_group, eval_recipe, get_spec
 from autcrit.criteria import CriterionVerdict
 from autcrit.groups import DEFAULT_INGEST_BOUND
 from autcrit.report import verify_group
@@ -223,6 +223,18 @@ class TestVerify:
         rep2 = verify_group("Q8", g2, ["COR_2_6"], force=True, explicit=True)
         assert rep2.rows[0].observed is True and rep2.rows[0].match is True
 
+    def test_force_keeps_the_enumeration_bound(self, tmp_path, capsys):
+        # --force lifts AUTCRIT_AUT_BOUND only: He3xC9 (order 243) is still
+        # above the subgroup enumeration bound
+        table = eval_recipe("product(heisenberg 3, cyclic 9)").table
+        path = tmp_path / "he3xc9.cayley"
+        path.write_text("cayley 243\n" + "".join(" ".join(map(str, r)) + "\n" for r in table))
+        message = ("error: OrderBoundExceededError: subgroup enumeration bound 128 exceeded"
+                   " (order 243)\n")
+        for force in ([], ["--force"]):
+            assert cli.main(["verify", str(path), *force]) == 2, force
+            captured = capsys.readouterr()
+            assert captured.err == message and captured.out == "", force
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
     def test_bad_env_bound_exits_2(self, monkeypatch, capsys, raw):

@@ -489,7 +489,7 @@ class TestQuotient:
         "from autcrit.catalog import dihedral_group\n"
         "g = dihedral_group(8)\n"
         "top, filled = len(g.normal_subgroups()) - 1, []\n"
-        "def stub(g, x, ys, bound=None):\n"
+        "def stub(g, x, ys):\n"
         "    filled.append(x)\n"
         "    if len(filled) > 1:\n"
         "        raise RuntimeError('a row of the order table was filled again')\n"
@@ -791,13 +791,14 @@ class TestSubgroupEnumeration:
     def test_known_counts(self, builder, count):
         assert len(all_subgroups(builder())) == count
 
-    # D8's six are counted by test_normal_subgroups_subset
+    # D8's six are counted by test_normal_subgroups_subset; S3 is not a
+    # p-group, and test_normal_subgroups_match_oracle checks it is refused
     @pytest.mark.parametrize(
         "builder,count",
         [
             (lambda: quaternion_group(8), 6),
             (lambda: abelian_group(2, (1, 1, 1)), 16),
-            (lambda: s3(), 3),
+            (lambda: cyclic_group(4), 3),
         ],
     )
     def test_known_normal_counts(self, builder, count):
@@ -819,16 +820,18 @@ class TestSubgroupEnumeration:
 
     def test_normal_subgroups_match_oracle(self, corpus):
         # every catalog group in the enumeration bound (D8xC4 among them),
-        # the two large groups of the benchmark's stress workload and
-        # Q8xC2^3, walked by covers; S3 and C2xC6, walked by classes as
-        # they are not p-groups; list order included
+        # the two large groups of the benchmark's stress workload, Q8xC2^3
+        # and the trivial group, walked by covers, list order included; S3
+        # and C2xC6 are not p-groups, so they are refused
         groups = {name: g for name, (_, g) in corpus.items() if g.n <= 128}
         for spec in (GroupSpec("Q8xC4xC2", 2, "product(quaternion 8, abelian 2 2 1)"),
                      GroupSpec("He3xC3", 3, "product(heisenberg 3, cyclic 3)"),
                      GroupSpec("Q8xC2^3", 2, "product(quaternion 8, abelian 2 1 1 1)")):
             groups[spec.name] = build_group(spec, fresh=True)
-        groups["S3"] = s3()
-        groups["C2xC6"] = direct_product(cyclic_group(2), cyclic_group(6))
+        groups["C1"] = cyclic_group(1)
+        for g in (s3(), direct_product(cyclic_group(2), cyclic_group(6))):
+            with pytest.raises(NotPGroupError):
+                g.normal_subgroups()
         assert "D8xC4" in groups
         for name, g in sorted(groups.items()):
             expected = [s for s in all_subgroups(g) if s.is_normal()]
