@@ -24,7 +24,6 @@ from .automorphisms import (
 )
 from .criteria import (
     CriterionVerdict,
-    adney_yen_check,
     cor_2_3,
     cor_2_4,
     cor_2_5,
@@ -33,7 +32,6 @@ from .criteria import (
     cor_2_8,
     cor_2_9,
     cor_2_10,
-    lemma_2_11_check,
     thm_2_12,
 )
 from .catalog import GroupSpec, catalog, get_spec, load_group
@@ -49,7 +47,6 @@ __all__ = [
     "PPartition",
     "Quotient",
     "Subgroup",
-    "adney_yen_check",
     "aut_upper_lower",
     "automorphism_group",
     "autset_equal",
@@ -71,7 +68,6 @@ __all__ = [
     "get_spec",
     "hom_order",
     "hom_type",
-    "lemma_2_11_check",
     "load_group",
     "rank",
     "thm_2_12",

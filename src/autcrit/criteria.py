@@ -44,7 +44,6 @@ from .abelian import (
     decide_hom_equal_sources,
     decide_hom_equal_targets,
     exponent,
-    hom_order,
     rank,
     var,
 )
@@ -54,7 +53,6 @@ from .errors import (
     HypothesisViolationError,
     InvariantError,
 )
-from .automorphisms import CENTRAL, distinguished
 from .groups import FiniteGroup, Subgroup, subgroup_product
 
 COR_2_3 = "COR_2_3"
@@ -323,27 +321,3 @@ def thm_2_12(g: FiniteGroup) -> CriterionVerdict:
     labels = ("G/G'", "G/G'", "G'", "Z", "detail", "detail")
     return _decided(THM_2_12, *_nested(g, p, g.derived_subgroup(), one, g.center(), one, labels))
 
-
-def lemma_2_11_check(g: FiniteGroup) -> bool:
-    """For class-2 groups with d(G') = d(Z(G)): assert G is purely
-    non-abelian."""
-    p = _require_nonabelian_p_group(g)
-    if g.nilpotence_class() != 2:
-        raise HypothesisViolationError("stated for nilpotence class 2")
-    dp = g.derived_subgroup().partition(p)
-    zp = g.center().partition(p)
-    if rank(dp) != rank(zp):
-        raise HypothesisViolationError(
-            f"d(G') = {rank(dp)} differs from d(Z(G)) = {rank(zp)}"
-        )
-    return g.is_purely_nonabelian()[0]
-
-
-def adney_yen_check(g: FiniteGroup) -> bool:
-    """For purely non-abelian G: |Aut_c(G)| = |Hom(G/G', Z(G))|."""
-    p = _require_nonabelian_p_group(g)
-    if not g.is_purely_nonabelian()[0]:
-        raise HypothesisViolationError("stated for purely non-abelian groups")
-    q0 = g.section_partition(g.full_subgroup(), g.derived_subgroup(), p)
-    zp = g.center().partition(p)
-    return len(distinguished(g, CENTRAL)) == hom_order(q0, zp)

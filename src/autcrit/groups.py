@@ -278,7 +278,6 @@ class FiniteGroup:
             s = Subgroup(self, frozenset(
                 a for a in range(self.n) if all(t[a][b] == t[b][a] for b in gens)))
             s._cache["normal"] = True
-            s._cache["central"] = True
             return s
 
         return self._memo("center", compute)
@@ -563,9 +562,6 @@ class Subgroup:
             )
 
         return self._memo("normal", compute)
-
-    def is_central(self) -> bool:
-        return self._memo("central", lambda: self.members <= self.parent.center().members)
 
     def generators(self) -> tuple[int, ...]:
         """Small generating set for this subgroup (greedy, larger orders

@@ -21,9 +21,12 @@ A report keeps its rows as shared heads plus per-row columns.  A head
 is what rows share: (group, order, prime, criterion, predicted, observed,
 match, clause, note), each distinct one stored once; a row is a head id,
 its elapsed_ms as measured, and its args tuple, three entries in three
-plain lists.  ``Report.rows`` builds ``Row`` objects only when read; the
-verifier, the JSON writer and the CLI's exit status and counts read the
-heads and columns and build none.
+plain lists.  ``verify_group`` walks the criteria in id order and writes
+each row straight into the columns, so they are in output order, and
+the report is the same whatever order the criteria were asked in.
+``Report.rows`` builds ``Row`` objects only when read; the verifier, the
+JSON writer and the CLI's exit status and counts read the heads and
+columns and build none.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
@@ -96,25 +99,21 @@ class Report:
     """One group's summary, notes and rows.
 
     Row i is ``heads[head_of[i]]`` with ``elapsed[i]``, its elapsed_ms as
-    measured, and ``args[i]``; the three columns are plain lists, and a
-    head is stored once however many rows share it.  ``rows`` is a
-    read-only view that builds every ``Row`` when read, and rows passed
-    in are stored through ``append``.
+    measured, and ``args[i]``; the three columns are plain lists that
+    ``verify_group`` fills in output order, and a head is stored once,
+    through ``intern``, however many rows share it.  ``rows`` is a
+    read-only view that builds every ``Row`` when read.
     """
 
-    def __init__(self, group: str, order: int, prime: int | None, summary: dict[str, str],
-                 rows=(), notes: list[str] | None = None,
-                 lattice: tuple[tuple[int, ...], ...] = ()):
+    def __init__(self, group: str, order: int, prime: int | None, summary: dict[str, str]):
         self.group, self.order, self.prime, self.summary = group, order, prime, summary
-        self.notes = [] if notes is None else notes
-        self.lattice = lattice
+        self.notes: list[str] = []
+        self.lattice: tuple[tuple[int, ...], ...] = ()
         self.heads: list[Head] = []
         self.head_of: list[int] = []
         self.elapsed: list[float] = []
         self.args: list[tuple[int, ...]] = []
         self._ids: dict[Head, int] = {}  # head -> its index in heads
-        for r in rows:
-            self.append(r)
 
     def intern(self, head: Head) -> int:
         """The index of ``head`` in ``heads``, stored on first sight."""
@@ -123,12 +122,6 @@ class Report:
             h = self._ids[head] = len(self.heads)
             self.heads.append(head)
         return h
-
-    def append(self, r: Row) -> None:
-        self.head_of.append(self.intern(Head(r.group, r.order, r.prime, r.criterion, r.predicted,
-                                             r.observed, r.match, r.clause, r.note)))
-        self.elapsed.append(r.elapsed_ms)
-        self.args.append(r.args)
 
     def row(self, i: int) -> Row:
         *head, note = self.heads[self.head_of[i]]
@@ -340,12 +333,11 @@ def verify_group(
             orders[at[m] + i] = k
         return orders[at[m] + n]
 
-    segments = {}  # criterion -> its rows' (head ids, elapsed_ms, args) columns
-    for cid in selected:
+    hs, es, xs = report.head_of, report.elapsed, report.args
+    for cid in sorted(selected):  # rows are written in output order
         predicate, sweep, _, left, right = CRITERIA[cid]
         # invariant key -> (predicted_equal, clause, {(observed, note): head id})
         verdicts: dict = {}
-        hs, es, xs = segments[cid] = [], [], []
         tag = isinstance(right, str)
         lm, ln = left if sweep else (None, None)
         rm, rn = (None, None) if tag else right
@@ -395,11 +387,6 @@ def verify_group(
             hs.append(h)
             es.append(elapsed)
             xs.append(args)
-    for cid in sorted(segments):  # as a stable sort by criterion would order the rows
-        hs, es, xs = segments[cid]
-        report.head_of += hs
-        report.elapsed += es
-        report.args += xs
     return report
 
 

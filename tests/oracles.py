@@ -18,7 +18,12 @@ multiplication tables.  These rest on library code, and say so:
   search's generating sequence and fingerprint pools (``_search_parts``);
 - ``direct_factor_by_pairs`` reads ``normal_subgroups`` and ``quotient``;
 - the ``*_by_subsets`` sweeps read ``criteria.mod_derived_part`` and
-  ``Subgroup.partition``.
+  ``Subgroup.partition``;
+- ``lemma_2_11_check`` and ``adney_yen_check`` state two facts of the
+  paper on one group: they read the library's partitions and
+  ``is_purely_nonabelian``, and the Adney-Yen count compares
+  ``distinguished`` with ``hom_order``;
+- ``report_of`` stores hand-built rows through ``Report.intern``.
 """
 
 from dataclasses import dataclass
@@ -30,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from autcrit import criteria as crit
+from autcrit.abelian import hom_order, rank
 from autcrit.automorphisms import (
     C_STAR,
     CENTRAL,
@@ -40,6 +46,7 @@ from autcrit.automorphisms import (
     _fingerprints,
     automorphism_group,
     compose_transversals,
+    distinguished,
 )
 from autcrit.errors import (
     GroupFileError,
@@ -49,6 +56,7 @@ from autcrit.errors import (
     NotAbelianError,
 )
 from autcrit.groups import FiniteGroup, Subgroup
+from autcrit.report import Head, Report
 
 
 @dataclass(frozen=True, slots=True)
@@ -721,6 +729,11 @@ def as_group(s):
     return FiniteGroup([[pos[t[a][b]] for b in elems] for a in elems]), elems
 
 
+def is_central(s):
+    """Whether a subgroup lies in its parent's centre."""
+    return s.members <= s.parent.center().members
+
+
 def abelian_basis(g):
     """Independent cyclic generators of an abelian p-group, as (element,
     order) pairs with non-increasing orders.
@@ -763,7 +776,7 @@ def hom_automorphism_pairs(g, x, y):
     abelianization, paired with the automorphism alpha_f(g) = g * f(gY).
     Componentwise product of the image tuples is the Hom-group operation.
     """
-    if not x.is_central():
+    if not is_central(x):
         raise HypothesisViolationError("X must be central in G")
     if not x.members <= y.members:
         raise HypothesisViolationError("X must be contained in Y")
@@ -807,6 +820,32 @@ def hom_construct_auts(g, x, y):
     return AutSet(g, _canonical(g.n, [a.images for _, a in pairs]), x, y, UPPER_LOWER_XY)
 
 
+def lemma_2_11_check(g):
+    """Lemma 2.11 on one group: a class-2 group with d(G') = d(Z(G)) is
+    purely non-abelian.  Returns whether G is; a group outside the
+    hypotheses raises HypothesisViolationError."""
+    p = crit._require_nonabelian_p_group(g)
+    if g.nilpotence_class() != 2:
+        raise HypothesisViolationError("stated for nilpotence class 2")
+    dp = g.derived_subgroup().partition(p)
+    zp = g.center().partition(p)
+    if rank(dp) != rank(zp):
+        raise HypothesisViolationError(f"d(G') = {rank(dp)} differs from d(Z(G)) = {rank(zp)}")
+    return g.is_purely_nonabelian()[0]
+
+
+def adney_yen_check(g):
+    """The Adney-Yen count on one purely non-abelian group: whether
+    |Aut_c(G)| = |Hom(G/G', Z(G))|, the left side from the search engine
+    and the right from ``hom_order``."""
+    p = crit._require_nonabelian_p_group(g)
+    if not g.is_purely_nonabelian()[0]:
+        raise HypothesisViolationError("stated for purely non-abelian groups")
+    q0 = g.section_partition(g.full_subgroup(), g.derived_subgroup(), p)
+    zp = g.center().partition(p)
+    return len(distinguished(g, CENTRAL)) == hom_order(q0, zp)
+
+
 def to_cayley_text(g):
     """A group's table as a ``cayley n`` file."""
     return f"cayley {g.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in g.table)
@@ -833,3 +872,16 @@ def format_cycles(perm):
             x = perm[x]
         cycles.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
     return "".join(cycles) if cycles else "()"
+
+
+def report_of(group, order, prime, rows):
+    """A ``Report`` holding hand-built ``Row``s in order: each row's head
+    stored through ``Report.intern``, and its elapsed_ms and args in the
+    columns."""
+    rep = Report(group, order, prime, {})
+    for r in rows:
+        rep.head_of.append(rep.intern(Head(r.group, r.order, r.prime, r.criterion, r.predicted,
+                                           r.observed, r.match, r.clause, r.note)))
+        rep.elapsed.append(r.elapsed_ms)
+        rep.args.append(r.args)
+    return rep

@@ -27,7 +27,6 @@ from autcrit.automorphisms import (
     distinguished,
 )
 from autcrit.catalog import abelian_group, build_group, get_spec
-from autcrit.criteria import lemma_2_11_check
 from autcrit.report import center_subgroups, report_to_text, reports_to_json_lines, verify_group
 from oracles import (
     as_group,
@@ -35,6 +34,7 @@ from oracles import (
     count_homs,
     count_homs_killed_by,
     hom_automorphism_pairs,
+    lemma_2_11_check,
     members,
     order_dividing_count_by_factors,
 )

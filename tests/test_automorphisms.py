@@ -54,6 +54,7 @@ from oracles import (
     hom_construct_auts,
     inner_automorphisms,
     inverse,
+    is_central,
     is_identity,
     meets,
     member_rows,
@@ -476,7 +477,7 @@ class TestPackedSets:
                     assert meets(s, rows).all(), (name, x.order, y.order)
                     assert moves_identity not in found
                     by_members.setdefault(found, []).append(s)
-                    if x.is_central() and x <= y:
+                    if is_central(x) and x <= y:
                         hom = hom_construct_auts(g, x, y)
                         assert members(hom) == found, (name, x.order, y.order)
                         assert member_rows(hom).tobytes() == rows.tobytes(), (

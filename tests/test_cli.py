@@ -15,6 +15,7 @@ from autcrit.catalog import build_group, eval_recipe, get_spec
 from autcrit.criteria import CriterionVerdict
 from autcrit.groups import DEFAULT_INGEST_BOUND
 from autcrit.report import verify_group
+from oracles import report_of
 
 JSON_FIELDS = [
     "group", "order", "prime", "criterion", "predicted", "observed",
@@ -183,7 +184,7 @@ class TestVerify:
             for name, e in (("D8", 2.5), ("Q8", 2.5), ("D8", 0.0), ("D8", -0.0), ("D8", 1.0),
                             ("D8", 1), ("Q8", float("inf")), ("Q8", float("nan")))
         ]
-        rep = report_mod.Report("D8", 8, 2, {}, rows)
+        rep = report_of("D8", 8, 2, rows)
         want = "".join(json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n"
                        for r in rows)
         assert report_mod.reports_to_json_lines([rep, rep]) == want + want
@@ -213,6 +214,31 @@ class TestVerify:
         monkeypatch.setitem(report_mod.CRITERIA, crit.COR_2_6, (wrong, *sides))
         assert cli.main(["verify", "Q8"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_swept_mismatches_printed(self, monkeypatch):
+        # a COR_2_3 predicate that is wrong exactly on the keys with |M1| < |M2|
+        predicate, *rest = report_mod.CRITERIA[crit.COR_2_3]
+
+        def flipped(g, m1, n1, m2, n2):
+            v = predicate(g, m1, n1, m2, n2)
+            if m1.order == m2.order:
+                return v
+            return CriterionVerdict(crit.COR_2_3, not v.predicted_equal,
+                                    crit.NONE if v.predicted_equal else crit.CASE_I)
+
+        monkeypatch.setitem(report_mod.CRITERIA, crit.COR_2_3, (flipped, *rest))
+        rep = verify_group("D8xC2", build_group(get_spec("D8xC2")), [crit.COR_2_3])
+        rows = rep.rows
+        wrong = [i for i, r in enumerate(rows) if r.match is False]
+        assert 0 < len(wrong) < len(rows)
+        text = report_mod.report_to_text(rep).splitlines()
+        verbose = report_mod.report_to_text(rep, verbose=True).splitlines()
+        # the group line, its summary and the criterion's line, then its rows
+        assert text[:3] == verbose[:3] and len(verbose) == 3 + len(rows)
+        assert text[2] == (f"  COR_2_3    tuples={len(rows)} match={len(rows) - len(wrong)}"
+                           f" skipped=0 mismatch={len(wrong)} MISMATCH")
+        assert text[3:] == [verbose[3 + i] for i in wrong]
+        assert all(" M1=order " in line for line in text[3:])
 
     def test_bound_skips_and_force_restores(self, monkeypatch):
         monkeypatch.setenv("AUTCRIT_AUT_BOUND", "4")
@@ -330,6 +356,20 @@ class TestRowStore:
             assert not any(map(gc.is_tracked, column))
         assert len(rep.heads) == 13
 
+    @pytest.mark.parametrize("name", ["D16", "He3"])
+    def test_rows_in_output_order_whatever_the_filter_order(self, name):
+        ids = list(report_mod.CRITERIA)
+        forward, backward = (verify_group(name, build_group(get_spec(name)), order)
+                             for order in (ids, ids[::-1]))
+        criteria = [forward.heads[h].criterion for h in forward.head_of]
+        assert criteria == sorted(criteria)
+        assert forward.heads == backward.heads
+        assert forward.head_of == backward.head_of
+        assert forward.args == backward.args
+        # D16 is of class 3, so COR_2_8 is skipped with a note
+        assert forward.notes == backward.notes
+        assert bool(forward.notes) == (name == "D16")
+
     @given(st.lists(st.builds(
         report_mod.Row,
         group=st.sampled_from(["D8", 'Q"8\\x', "C\u00e9"]) | st.text(max_size=4),
@@ -345,7 +385,7 @@ class TestRowStore:
         args=st.lists(st.integers(0, 40), max_size=4).map(tuple),
     ), max_size=30))
     def test_rows_round_trip(self, rows):
-        rep = report_mod.Report("D8", 8, 2, {}, rows)
+        rep = report_of("D8", 8, 2, rows)
         # repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows nan
         assert list(map(repr, rep.rows)) == list(map(repr, rows))
         assert report_mod.reports_to_json_lines([rep]) == "".join(

@@ -1,10 +1,13 @@
+import ast
 import gc
 import weakref
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autcrit
 from autcrit.abelian import (
     PPartition,
     decide_hom_equal_sources,
@@ -38,7 +41,6 @@ from autcrit.criteria import (
     CASE_II,
     DEGENERATE_EQUALITY,
     NONE,
-    adney_yen_check,
     cor_2_3,
     cor_2_4,
     cor_2_5,
@@ -47,7 +49,6 @@ from autcrit.criteria import (
     cor_2_8,
     cor_2_9,
     cor_2_10,
-    lemma_2_11_check,
     thm_2_12,
 )
 from autcrit.groups import FiniteGroup, direct_product
@@ -59,8 +60,8 @@ from autcrit.errors import (
 )
 from autcrit.report import (center_subgroups, containing, containment, sweep_2_3, sweep_2_45,
                             verify_group)
-from oracles import (center_subgroups_by_subsets, member_rows, sweep_2_3_by_subsets,
-                     sweep_2_45_by_subsets)
+from oracles import (adney_yen_check, center_subgroups_by_subsets, lemma_2_11_check, member_rows,
+                     sweep_2_3_by_subsets, sweep_2_45_by_subsets)
 
 
 def by_name(name):
@@ -635,3 +636,31 @@ class TestContainment:
             assert got == list(sweep_2_3_by_subsets(g)), name
             tuples += len(got)
         assert tuples == 111151  # 29,300 on the catalog and stress groups
+
+
+def test_library_surface_is_what_autcrit_runs():
+    # every exported name is read by some module of the library itself,
+    # so no name ships that only the tests call
+    src = Path(autcrit.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    loaded = set()
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(autcrit.__all__) - loaded) == []
+    # the predicates read invariants only: nothing of the search engine or
+    # of the verifier that checks them
+    imported = set()
+    for node in ast.walk(trees["criteria"]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):  # a relative import is from autcrit
+            module = ".".join(["autcrit"] * bool(node.level) + [node.module] * bool(node.module))
+            imported.add(module)
+            imported.update(f"{module}.{a.name}" for a in node.names)
+    assert not imported & {"autcrit.automorphisms", "autcrit.report"}
