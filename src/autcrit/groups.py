@@ -4,7 +4,8 @@ Groups here are small (a few hundred elements at most for structural
 work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
-Light's test on a generating set; everything structural (center, derived
+Light's test on a generating set (a closure-built table names its own,
+through its spanning tree); everything structural (center, derived
 subgroup, quotients, a p-group's normal lattice by index-p covers) is
 computed by scans and closures over the table, and the abelian invariants
 of a section H/K are counted on the parent's table, with no quotient or
@@ -12,7 +13,8 @@ copy built to read them (``section_partition``).  One walk grows every
 subgroup: ``FiniteGroup.join`` adds a left coset of the subgroup so far
 for each new product of a generator and a coset representative, and
 closure, greedy generator choice and the lattice all call it.
-Permutation generators become a table through their Cayley graph.
+Permutation generators become a table through their Cayley graph,
+composed by one itemgetter per generator.
 
 All public objects are immutable after construction; derived data is
 memoised in a private cache, so instances are safe to share.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -75,9 +77,10 @@ class FiniteGroup:
 
     __slots__ = ("n", "table", "_inv", "_cache")
 
-    def __init__(self, table):
+    def __init__(self, table, _tree=None):
+        # _tree: from_permutation_generators' spanning tree, see _validate_table
         arr = _square(table)
-        _validate_table(arr)
+        _validate_table(arr, _tree)
         self.n = len(arr)
         self.table = tuple(map(tuple, arr.tolist()))
         self._cache: dict = {}
@@ -107,34 +110,47 @@ class FiniteGroup:
         composition and return the resulting group.
 
         Elements are numbered breadth-first from the identity and a*b is
-        a(b(x)).  The closure records u -> u*g_k for every generator and
-        the edge j = parent(j)*g_k that first reached j; as a*j =
-        (a*parent(j))*g_k, column j is column parent(j) read through
-        g_k's map.  Cost O(n*|gens|*degree + n**2), not O(n**2*degree).
+        a(b(x)).  The closure composes through one itemgetter per
+        generator, records u -> u*g_k for every generator and the edge
+        j = parent(j)*g_k that first reached j; as a*j = (a*parent(j))*g_k,
+        column j is column parent(j) read through g_k's map.  Cost
+        O(n*|gens|*degree + n**2), not O(n**2*degree).  Those edges form
+        a spanning tree with parent(j) < j, which validation checks
+        against the table and uses in place of a search for generators.
 
         The empty generator list gives the trivial group (degree may be
-        supplied to fix the domain, otherwise 1 is used).  A closure
-        past DEFAULT_INGEST_BOUND raises OrderBoundExceededError."""
+        supplied to fix the domain, otherwise 1 is used).  An entry that
+        is not an integer raises InvalidPermutationError.  A closure past
+        DEFAULT_INGEST_BOUND raises OrderBoundExceededError."""
         gens = [tuple(g) for g in gens]
         if degree is None:
             degree = len(gens[0]) if gens else 1
         identity = tuple(range(degree))
         for g in gens:
-            if len(g) != degree or sorted(g) != list(range(degree)):
+            try:
+                ok = len(g) == degree and sorted(map(index, g)) == list(identity)
+            except TypeError:  # a point that is not an integer
+                ok = False
+            if not ok:
                 raise InvalidPermutationError(f"{g} is not a permutation of 0..{degree - 1}")
+        if degree < 2:
+            # the only permutation is the identity, and itemgetter needs two
+            # indices to return a tuple
+            return cls([[0]])
+        steps = [itemgetter(*g) for g in gens]
         elems: list[tuple[int, ...]] = [identity]
-        index = {identity: 0}
+        index_of = {identity: 0}
         right: list[list[int]] = [[] for _ in gens]
         edge = [(0, 0)]
         for i, u in enumerate(elems):  # elems grows while it is walked
-            for k, g in enumerate(gens):
-                v = tuple(map(u.__getitem__, g))
-                j = index.get(v)
+            for k, step in enumerate(steps):
+                v = step(u)
+                j = index_of.get(v)
                 if j is None:
                     if len(elems) >= DEFAULT_INGEST_BOUND:
                         raise OrderBoundExceededError(
                             f"closure exceeds bound {DEFAULT_INGEST_BOUND}")
-                    j = index[v] = len(elems)
+                    j = index_of[v] = len(elems)
                     elems.append(v)
                     edge.append((i, k))
                 right[k].append(j)
@@ -146,7 +162,9 @@ class FiniteGroup:
         for j in range(1, n):
             parent, k = edge[j]
             cols[j] = rmul[k, cols[parent]]
-        return cls(cols.T)
+        # element j >= 1 is parent(j) * g_k, and g_k = 0 * g_k has index right[k][0]
+        parents, ks = np.array(edge, dtype=np.intp)[1:].T
+        return cls(cols.T, (parents, np.array([r[0] for r in right], dtype=np.intp)[ks]))
 
     # -- basic operations -------------------------------------------------
 
@@ -636,18 +654,38 @@ def _square(table) -> np.ndarray:
     return arr
 
 
-def _validate_table(arr: np.ndarray) -> None:
+def _validate_table(arr: np.ndarray, tree=None) -> None:
     """Check that an n x n integer array is a group table with identity 0.
 
     Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x, y
-    are closed under the product, so checking a generating set is enough."""
-    ident = np.arange(len(arr))
+    are closed under the product, so checking a generating set is enough.
+    Without ``tree`` the set is found by ``_raw_generators``.
+
+    A closure-built table comes with a spanning tree instead: arrays
+    ``(parents, via)`` that give each element j >= 1 as
+    parents[j-1] * via[j-1] with parents[j-1] < j.  Both are checked on the
+    table itself, and Light's test runs over the distinct ``via`` entries.
+    That is sound: the elements g with (x*g)*y = x*(g*y) for all x, y are
+    closed under the product, element 0 is one, and the test shows each
+    ``via`` entry is one; so by induction on j, element
+    j = parents[j-1] * via[j-1] is one too."""
+    n = len(arr)
+    ident = np.arange(n)
     # sorted rows and columns equal to 0..n-1 also bound every entry
     if not ((np.sort(arr, axis=1) == ident).all() and (np.sort(arr, axis=0).T == ident).all()):
         raise NotLatinSquareError("a row or column is not a permutation of 0..n-1")
     if not ((arr[0] == ident).all() and (arr[:, 0] == ident).all()):
         raise NoIdentityError("element 0 is not a two-sided identity")
-    for g in _raw_generators(arr):
+    if tree is None:
+        gens = _raw_generators(arr)
+    else:
+        parents, via = tree
+        kids = ident[1:]
+        if not (len(parents) == len(via) == n - 1 and ((0 <= parents) & (parents < kids)).all()
+                and (arr[parents, via] == kids).all()):
+            raise InvariantError("the spanning tree does not reach each element from a lower one")
+        gens = sorted(set(via.tolist()))  # np.unique would import numpy.ma, ~1.3 MB
+    for g in gens:
         if not (arr[arr[:, g]] == arr[:, arr[g]]).all():
             raise NotAssociativeError(f"associativity fails through generator {g}")
 

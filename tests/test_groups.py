@@ -23,6 +23,7 @@ from autcrit.catalog import (
 from autcrit.errors import (
     GroupFileError,
     InvalidPermutationError,
+    InvariantError,
     NoIdentityError,
     NotAbelianError,
     NotASubgroupError,
@@ -35,7 +36,14 @@ from autcrit.errors import (
 )
 from autcrit.criteria import mod_derived_part
 from autcrit.formats import parse_group_text
-from autcrit.groups import FiniteGroup, Subgroup, _raw_generators, direct_product, subgroup_product
+from autcrit.groups import (
+    FiniteGroup,
+    Subgroup,
+    _raw_generators,
+    _validate_table,
+    direct_product,
+    subgroup_product,
+)
 from autcrit.report import group_summary
 from oracles import (
     abelian_basis,
@@ -237,6 +245,54 @@ def intercalates(rows):
     ]
 
 
+def raw_product_tree(rows):
+    """``rows`` relabelled in the order that raw products of its raw
+    generators first reach each element, with that walk's spanning tree:
+    each generator g is 0 * g and each other element the first a * b of two
+    elements reached before it, so every parent is below its child."""
+    n = len(rows)
+    reached = {0: None}  # element -> (a, b) with a * b the element
+    for g in raw_generators(rows):
+        reached[g] = (0, g)
+    while len(reached) < n:
+        for a in list(reached):
+            for b in list(reached):
+                reached.setdefault(rows[a][b], (a, b))
+    pi = {x: i for i, x in enumerate(reached)}
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[pi[a]][pi[b]] = pi[rows[a][b]]
+    parents, via = zip(*[(pi[a], pi[b]) for a, b in list(reached.values())[1:]])
+    return table, np.array(parents), np.array(via)
+
+
+def switched_loop(corpus, data):
+    """A catalog table of a 2-group of order 4..16 with one to three
+    intercalates switched: swapping the two columns of an intercalate
+    within both of its rows keeps a Latin square with identity 0, usually
+    breaking associativity."""
+    tables = [g.table for _, (spec, g) in sorted(corpus.items())
+              if spec.prime == 2 and 4 <= g.n <= 16]
+    rows = [list(r) for r in data.draw(st.sampled_from(tables))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        spots = intercalates(rows)
+        if not spots:
+            break
+        a, b, c, d = data.draw(st.sampled_from(spots))
+        rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
+        rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
+    return rows
+
+
+def accepts(arr, tree=None):
+    try:
+        _validate_table(arr, tree)
+    except NotAssociativeError:
+        return False
+    return True
+
+
 class TestAssociativityAgainstOracle:
     """FiniteGroup raises NotAssociativeError exactly when the triple-scan
     oracle finds a non-associative triple."""
@@ -252,19 +308,7 @@ class TestAssociativityAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_switched_loops(self, corpus, data):
-        # Swapping the two columns of an intercalate within both of its
-        # rows keeps a Latin square with identity 0, usually breaking
-        # associativity.
-        tables = [g.table for _, (spec, g) in sorted(corpus.items())
-                  if spec.prime == 2 and 4 <= g.n <= 16]
-        rows = [list(r) for r in data.draw(st.sampled_from(tables))]
-        for _ in range(data.draw(st.integers(1, 3))):
-            spots = intercalates(rows)
-            if not spots:
-                break
-            a, b, c, d = data.draw(st.sampled_from(spots))
-            rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
-            rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
+        rows = switched_loop(corpus, data)
         assert _raw_generators(np.array(rows)) == raw_generators(rows)
         if is_associative(rows):
             FiniteGroup(rows)
@@ -272,15 +316,42 @@ class TestAssociativityAgainstOracle:
             with pytest.raises(NotAssociativeError):
                 FiniteGroup(rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_spanning_tree_decides_as_raw_generators(self, corpus, data):
+        # Light's test through a spanning tree's generators accepts exactly
+        # the tables that it accepts through the raw generators, and a tree
+        # that misstates a product or an order is refused
+        table, parents, via = raw_product_tree(switched_loop(corpus, data))
+        arr, n = np.array(table), len(table)
+        assert accepts(arr, (parents, via)) == accepts(arr) == is_associative(table)
+        j = data.draw(st.integers(1, n - 1))
+        wrong = via.copy()
+        wrong[j - 1] = data.draw(st.sampled_from([b for b in range(n) if b != via[j - 1]]))
+        with pytest.raises(InvariantError):
+            _validate_table(arr, (parents, wrong))
+        # a true product from a parent at or above its child
+        above, col = parents.copy(), via.copy()
+        above[j - 1] = data.draw(st.integers(j, n - 1))
+        col[j - 1] = table[above[j - 1]].index(j)
+        with pytest.raises(InvariantError):
+            _validate_table(arr, (above, col))
+
 
 class TestFromPermutations:
     def test_dihedral_example(self):
         g = FiniteGroup.from_permutation_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
         assert g.n == 8
+        # numpy integer points are points
+        h = FiniteGroup.from_permutation_generators(
+            [np.array((1, 2, 3, 0)), tuple(np.int64(x) for x in (2, 1, 0, 3))])
+        assert h.table == g.table
 
     def test_empty_generators(self):
         g = FiniteGroup.from_permutation_generators([])
         assert g.n == 1
+        # the one permutation of no points
+        assert FiniteGroup.from_permutation_generators([()]).table == ((0,),)
 
     def test_single_transposition(self):
         g = FiniteGroup.from_permutation_generators([(1, 0)])
@@ -289,6 +360,9 @@ class TestFromPermutations:
     def test_invalid_permutation(self):
         with pytest.raises(InvalidPermutationError):
             FiniteGroup.from_permutation_generators([(0, 0, 1)])
+        # 1.0 sorts and compares equal to 1, so only a type check refuses it
+        with pytest.raises(InvalidPermutationError):
+            FiniteGroup.from_permutation_generators([(1.0, 0)])
 
     def test_order_bound(self, monkeypatch):
         monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 10)
@@ -312,11 +386,21 @@ class TestFromPermutations:
             expected = permutation_table(gens, degree)
             assert g.table == tuple(map(tuple, expected)), spec.name
 
+    @pytest.mark.parametrize("prime, recipe", [
+        (2, "product(quaternion 8, abelian 2 2 1)"), (3, "product(heisenberg 3, cyclic 3)")])
+    def test_stress_recipes_match_oracle(self, prime, recipe):
+        # regular actions of degree 64 and 81, as the benchmark's stress workload ingests them
+        gens = permutation_generators(GroupSpec(recipe, prime, recipe))
+        g = FiniteGroup.from_permutation_generators(gens)
+        assert g.table == tuple(map(tuple, permutation_table(gens, len(gens[0]))))
+
     # degree stays <= 5: the pairwise oracle needs minutes on S7
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
         st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
     @example((3, []))
+    @example((1, [(0,)]))
+    @example((1, [(0,), (0,)]))
     @example((4, [(0, 1, 2, 3)]))
     @example((4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 2, 3)]))
     @example((5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))
@@ -721,9 +805,9 @@ class TestPurelyNonabelian:
         real_quotient, real_normals = FiniteGroup.quotient, FiniteGroup.normal_subgroups
         real_init = FiniteGroup.__init__
 
-        def init(self, table):
+        def init(self, table, *args):
             built.append(self)
-            real_init(self, table)
+            real_init(self, table, *args)
 
         def quotient(self, kernel):
             quotients.setdefault(self, []).append(q := real_quotient(self, kernel))
