@@ -382,8 +382,11 @@ def _census(base: AutSet) -> list[tuple[int, int]]:
 
 def aut_orders(g: FiniteGroup, x: Subgroup, ys) -> list[int]:
     """|Aut^X_Y(G)| for each Y of ``ys``, with no set built: the members of
-    the base Aut^X_(X meet Y) whose fixed points hold Y's generators, summed
-    on the base's census, which is memoised next to it."""
+    the base Aut^X_(X meet Y) whose fixed points hold Y, summed on the
+    base's census, which is memoised next to it.  Each entry is tested
+    against Y's member bitmask (``Subgroup.mask``, memoised and read by
+    ``report.containment`` too): fixed points form a subgroup, so this is
+    the test on Y's generators, with none computed."""
     censuses, orders = {}, []
     for y in ys:
         _require_normal(y, "lower")
@@ -392,7 +395,7 @@ def aut_orders(g: FiniteGroup, x: Subgroup, ys) -> list[int]:
             lower = y if meet == y.members else x if meet == x.members else Subgroup(g, meet)
             base = aut_upper_lower(g, x, lower)
             censuses[meet] = g._memo(("aut_census", x.members, meet), lambda: _census(base))
-        need = sum(1 << t for t in y.generators())
+        need = y.mask()
         orders.append(sum(k for fixed, k in censuses[meet] if fixed & need == need))
     return orders
 

@@ -120,9 +120,13 @@ class FiniteGroup:
 
         The empty generator list gives the trivial group (degree may be
         supplied to fix the domain, otherwise 1 is used).  An entry that
-        is not an integer raises InvalidPermutationError.  A closure past
-        DEFAULT_INGEST_BOUND raises OrderBoundExceededError."""
-        gens = [tuple(g) for g in gens]
+        is not an integer, or a generator that is not a sequence, raises
+        InvalidPermutationError.  A closure past DEFAULT_INGEST_BOUND
+        raises OrderBoundExceededError."""
+        try:
+            gens = [tuple(g) for g in gens]
+        except TypeError as exc:  # a generator that is not a sequence of points
+            raise InvalidPermutationError(f"a generator is not a sequence: {exc}") from None
         if degree is None:
             degree = len(gens[0]) if gens else 1
         identity = tuple(range(degree))
@@ -585,6 +589,10 @@ class Subgroup:
         """Small generating set for this subgroup (greedy, larger orders
         first)."""
         return self._memo("gens", lambda: self.parent.greedy_generators(self.sorted_members))
+
+    def mask(self) -> int:
+        """The members as one int, bit x set for member x."""
+        return self._memo("mask", lambda: sum(1 << x for x in self.sorted_members))
 
     def partition(self, p: int | None = None) -> PPartition:
         """Abelian invariants of this subgroup (must be abelian): the

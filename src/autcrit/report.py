@@ -9,7 +9,9 @@ every admissible tuple of normal subgroups, one row per tuple; the
 predicate decides the first tuple of each invariant key it reads, and
 later tuples reuse that verdict.  The sweeps walk lists of containments
 computed once per group (``containment`` and its inverse ``containing``)
-and make no subset test.
+and make no subset test, and yield their tuples in blocks that share the
+right side and the key's prefix: COR_2_3 one block per (N1, M2, N2) with
+its list of M1, COR_2_4 and COR_2_5 one per N with its list of M.
 Those containments make the hypotheses hold and the left side a subgroup
 of the right, so a swept row compares two orders, each read from one
 table of |Aut^M_N| by (central M, N) with one row per central M, filled
@@ -23,23 +25,25 @@ match, clause, note), each distinct one stored once; a row is a head id,
 its elapsed_ms as measured, and its args tuple, three entries in three
 plain lists.  ``verify_group`` walks the criteria in id order and writes
 each row straight into the columns, so they are in output order, and
-the report is the same whatever order the criteria were asked in.
-``Report.rows`` builds ``Row`` objects only when read; the verifier, the
-JSON writer and the CLI's exit status and counts read the heads and
-columns and build none.
+the report is the same whatever order the criteria were asked in, with
+one float object per distinct elapsed_ms.  ``Report.rows`` builds ``Row``
+objects only when read; the verifier, the JSON writer and the CLI's exit
+status and counts read the heads and columns and build none.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
-elapsed_ms is one row's decision time in ms to the microsecond, from
-``perf_counter_ns``; rows are sorted by (group name, criterion id) with
-the deterministic sweep order preserved inside a criterion.  Skipped
-brute-force confirmations leave observed and match null; the reason only
-appears in the text rendering.  Two bounds skip rows.  The automorphism
-order bound (``aut_bound()``, AUTCRIT_AUT_BOUND, lifted by ``force``) is
-read and applied here only: above it every row is skipped before any
-call into ``automorphisms``.  The member bound is raised from there, by
-a side whose composition would build too many members, and skips only
-the rows that need that side; ``force`` does not lift it.
+elapsed_ms is one row's decision time in ms to the microsecond, between
+two ``perf_counter_ns`` reads; rows are sorted by (group name, criterion
+id) with the deterministic sweep order preserved inside a criterion.  The
+writer builds each distinct line of a report once and joins shared
+strings.  Skipped brute-force confirmations leave observed and match
+null; the reason only appears in the text rendering.  Two bounds skip
+rows.  The automorphism order bound (``aut_bound()``, AUTCRIT_AUT_BOUND,
+lifted by ``force``) is read and applied here only: above it every row
+is skipped before any call into ``automorphisms``.  The member bound is
+raised from there, by a side whose composition would build too many
+members, and skips only the rows that need that side; ``force`` does not
+lift it.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def containment(g: FiniteGroup) -> list[list[int]]:
     of the normal subgroups inside the i-th (the list is sorted by order),
     read once per group from bitmasks of the members."""
     def compute():
-        masks = [sum(1 << x for x in s.members) for s in g.normal_subgroups()]
+        masks = [s.mask() for s in g.normal_subgroups()]
         return [[j for j, mj in enumerate(masks[:i + 1]) if mj & mi == mj]
                 for i, mi in enumerate(masks)]
 
@@ -211,49 +215,57 @@ def _ids(parts) -> list[int]:
     return [ids.setdefault(q, len(ids)) for q in parts]
 
 
-# A sweep yields indices into ``g.normal_subgroups()`` and a key of the
-# partition ids ``criteria._nested`` reads, with no flag for M1 = M2: under
-# the containment M1 <= M2, equal orders make equal subgroups.  It walks
-# the containment lists and makes no subset test; every subgroup of a
-# central one is central.  For COR_2_4 and COR_2_5, G/G'Z(G), G/G' and
-# Z(G) are fixed per group.
+# A sweep yields its rows in blocks (key, rest, pairs) that share all but
+# their first argument, a central M: the block has one row for each
+# ((M,), id) of pairs, with args (M,) + rest, indices into
+# ``g.normal_subgroups()``, and one pairs list serves every block over the
+# same subgroups of Z(G).  A row's verdict key is the int key + id: key
+# packs the partition ids the block fixes and id is M's, so keys are equal
+# exactly when the partitions ``criteria._nested`` reads are.  No flag
+# tells M1 = M2: under the containment M1 <= M2, equal orders make equal
+# subgroups.  The sweeps walk the containment lists and make no subset
+# test; every subgroup of a central one is central.  For COR_2_4 and
+# COR_2_5, G/G'Z(G), G/G' and Z(G) are fixed per group.
 def sweep_2_3(g: FiniteGroup):
     """Admissible (M1, N1, M2, N2): M_i <= Z(G) and M_i <= N_i, M1 <= M2,
-    N2 <= N1; each with the key ``cor_2_3`` reads: the ids of G/G'N1,
-    G/G'N2, M1 and M2."""
+    N2 <= N1; one block per (N1, M2, N2), with every M1 <= M2, keyed by
+    the ids of G/G'N1, G/G'N2, M2 and M1, in that order of significance."""
     p = g.prime_power()[0]
     normals, below = g.normal_subgroups(), containment(g)
     zsubs = center_subgroups(g)
     q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
     mp = dict(zip(zsubs, _ids(normals[i].partition(p) for i in zsubs)))
-    # each central M2 with its (M1, id) pairs; each N2 with its central M2s
-    pairs = {j: [(i, mp[i]) for i in below[j]] for j in zsubs}
+    nq, nm = max(q) + 1, max(mp.values()) + 1
+    # each central M2's ((M1,), id) pairs; each N2's central M2s
+    pairs = {j: [((i,), mp[i]) for i in below[j]] for j in zsubs}
     central = [[j for j in b if j in mp] for b in below]
     for i1, b1 in enumerate(below):
         for i2 in b1:
+            k = (q[i1] * nq + q[i2]) * nm
             for j in central[i2]:
-                for m1, mp1 in pairs[j]:
-                    yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[j])
+                yield (k + mp[j]) * nm, (i1, j, i2), pairs[j]
 
 
 def sweep_2_45(g: FiniteGroup):
-    """Admissible (M, N) pairs with M <= Z(G) <= N; each with the key
-    ``cor_2_4`` and ``cor_2_5`` read: the ids of G/G'N and M."""
+    """Admissible (M, N) pairs with M <= Z(G) <= N; one block per N, with
+    every M <= Z(G), keyed by the ids of G/G'N and M."""
     p = g.prime_power()[0]
     normals, zsubs = g.normal_subgroups(), center_subgroups(g)
     above = containing(g)[zsubs[-1]]
     q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
     mp = _ids(normals[i].partition(p) for i in zsubs)
+    nm = max(mp) + 1
+    pairs = [((k,), mpk) for k, mpk in zip(zsubs, mp)]
     for i, qn in zip(above, q):
-        for k, mpm in zip(zsubs, mp):
-            yield (k, i), (qn, mpm)
+        yield qn * nm, (i,), pairs
 
 
-# criterion id -> (predicate, tuple sweep or None, argument labels, left
+# criterion id -> (predicate, block sweep or None, argument labels, left
 # side, right side).  A side is a distinguished tag, or the (upper, lower)
-# argument positions of Aut^{M}_{N}.  The sweep yields (tuple of lattice
-# indices, invariant key) and the predicate takes the group and the
-# tuple's subgroups; single-group criteria have no sweep and no arguments.
+# argument positions of Aut^{M}_{N}; a swept left side is (0, 1), so within
+# a block only its M changes and the right side is fixed.  The predicate
+# takes the group and the row's subgroups; single-group criteria have no
+# sweep and no arguments, and run as one block of one row.
 CRITERIA = {
     crit.COR_2_3: (crit.cor_2_3, sweep_2_3, ("M1", "N1", "M2", "N2"), (0, 1), (2, 3)),
     crit.COR_2_4: (crit.cor_2_4, sweep_2_45, ("M", "N"), (0, 1), aut.C_STAR),
@@ -265,6 +277,7 @@ CRITERIA = {
     crit.COR_2_10: (crit.cor_2_10, None, (), aut.IA, aut.C_STAR),
     crit.THM_2_12: (crit.thm_2_12, None, (), aut.IA, aut.CENTRAL),
 }
+SINGLE = ((0, (), (((), 0),)),)  # a single-group criterion's one block, of one row
 
 
 DEFAULT_AUT_BOUND = 128
@@ -299,6 +312,17 @@ def verify_group(
     inapplicable criterion raises instead of being skipped.  Above
     ``aut_bound()``, unless ``force`` lifts it, every row is skipped with
     no call into ``automorphisms``.
+
+    One loop walks every criterion's blocks and writes every row.  A
+    verdict is found by its int key and holds the head id of each observed
+    value (or skip note) seen with it.  The right side is read by the first
+    confirmed row that needs it and kept for the rest of its block, or of
+    its criterion when it is a distinguished tag; a refused side is asked
+    for again by the next row.  Each row's elapsed_ms is its decision time
+    between two ``perf_counter_ns`` reads, any side it reads or counts
+    included (one read shared by consecutive rows was measured and saved
+    nothing); the whole microseconds become one float object per distinct
+    value when the loop ends.
     """
     # Read up front, so a malformed AUTCRIT_AUT_BOUND fails every run,
     # not only the runs that reach a search.
@@ -336,57 +360,71 @@ def verify_group(
     hs, es, xs = report.head_of, report.elapsed, report.args
     for cid in sorted(selected):  # rows are written in output order
         predicate, sweep, _, left, right = CRITERIA[cid]
-        # invariant key -> (predicted_equal, clause, {(observed, note): head id})
+        # verdict key -> (predicted_equal, clause, {observed or skip note: head id})
         verdicts: dict = {}
-        tag = isinstance(right, str)
-        lm, ln = left if sweep else (None, None)
-        rm, rn = (None, None) if tag else right
-        # C* = Aut^Z_Z is the order table's cell (Z(G), Z(G)); another tag is a set
-        z = zsubs[-1] if sweep and right == aut.C_STAR else None
-        fixed = None  # the order of a distinguished right side, once counted
-        for args, key in sweep(g) if sweep else [((), None)]:
-            t0 = perf_counter_ns()
-            note = skip
-            v = verdicts.get(key)
-            if v is None:
+        swept = sweep and not skip  # a row reads the order table
+        if swept:
+            # the right side, read by the first confirmed row that needs it
+            # and kept while it stays the same: the cell (rm, rn) of the order
+            # table at positions ri, rj of each block's rest, or for the
+            # criterion C* = Aut^Z_Z as the cell (Z(G), Z(G)) or, with rm
+            # None, the order of a distinguished set
+            cell = not isinstance(right, str)
+            if cell:
+                ri, rj = right[0] - 1, right[1] - 1
+            else:
+                rm = rn = zsubs[-1] if right == aut.C_STAR else None
+            large = 0
+        for key, rest, pairs in sweep(g) if sweep else SINGLE:
+            if swept:
+                n = rest[0]  # the left side's N
+                if cell:
+                    rm, rn = rest[ri], rest[rj]
+                    large = 0
+            for first, i in pairs:
+                t0 = perf_counter_ns()
+                args = first + rest
+                note = skip
+                v = verdicts.get(key + i)
+                if v is None:
+                    try:
+                        verdict = predicate(g, *(normals[x] for x in args))
+                    except ClassNotTwoError as exc:
+                        if explicit:
+                            raise
+                        report.notes.append(f"{cid}: skipped ({exc})")
+                        continue
+                    v = verdicts[key + i] = (verdict.predicted_equal, verdict.clause, {})
                 try:
-                    verdict = predicate(g, *(normals[i] for i in args))
-                except ClassNotTwoError as exc:
-                    if explicit:
-                        raise
-                    report.notes.append(f"{cid}: skipped ({exc})")
-                    continue
-                v = verdicts[key] = (verdict.predicted_equal, verdict.clause, {})
-            predicted, clause, heads = v
-            try:
-                if skip:  # no call into automorphisms
-                    observed = None
-                elif sweep:  # the left side is a subgroup of the right
-                    m, n = args[lm], args[ln]
-                    small = orders[at[m] + n] or count(m, n)
-                    if tag:
-                        large = fixed = fixed or (len(aut.distinguished(g, right)) if z is None
-                                                  else orders[at[z] + z] or count(z, z))
+                    if swept:  # the left side is a subgroup of the right
+                        m = args[0]
+                        small = orders[at[m] + n] or count(m, n)
+                        large = large or (orders[at[rm] + rn] or count(rm, rn) if rm is not None
+                                          else len(aut.distinguished(g, right)))
+                        if large % small:
+                            raise InvariantError(
+                                f"{cid}: left order {small} does not divide {large}")
+                        observed = small == large
+                    elif skip:  # no call into automorphisms
+                        observed = None
                     else:
-                        m, n = args[rm], args[rn]
-                        large = orders[at[m] + n] or count(m, n)
-                    if large % small:
-                        raise InvariantError(f"{cid}: left order {small} does not divide {large}")
-                    observed = small == large
-                else:
-                    observed = aut.autset_equal(aut.distinguished(g, left),
-                                                aut.distinguished(g, right))
-            except OrderBoundExceededError as exc:
-                observed, note = None, f"skipped: {exc}"
-            elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000  # ms, to the microsecond
-            h = heads.get((observed, note))
-            if h is None:
-                match = None if observed is None else observed == predicted
-                h = heads[observed, note] = report.intern(
-                    Head(name, g.n, p, cid, predicted, observed, match, clause, note))
-            hs.append(h)
-            es.append(elapsed)
-            xs.append(args)
+                        observed = aut.autset_equal(aut.distinguished(g, left),
+                                                    aut.distinguished(g, right))
+                except OrderBoundExceededError as exc:
+                    observed, note = None, f"skipped: {exc}"
+                us = (perf_counter_ns() - t0 + 500) // 1000
+                h = v[2].get(note or observed)
+                if h is None:
+                    predicted, clause, heads = v
+                    match = None if observed is None else observed == predicted
+                    h = heads[note or observed] = report.intern(
+                        Head(name, g.n, p, cid, predicted, observed, match, clause, note))
+                hs.append(h)
+                es.append(us)
+                xs.append(args)
+    # each distinct whole-µs elapsed becomes one float object of it in ms
+    ms = {us: us / 1000 for us in set(es)}
+    es[:] = map(ms.__getitem__, es)
     return report
 
 
@@ -431,23 +469,25 @@ def select_specs(max_order: int | None = None, prime: int | None = None) -> list
 
 
 def reports_to_json_lines(reports: list[Report]) -> str:
-    """One ``json.dumps`` line per row, and no text at all for no rows,
-    written from parts: all but the elapsed_ms value is dumped once per
-    head of a report, and the text of each distinct nonzero float
-    elapsed_ms once."""
-    ends: dict = {}
+    """One ``json.dumps`` line per row, and no text at all for no rows.
+
+    All but the elapsed_ms value is dumped once per head of a report, and
+    each distinct line once per report: rows of one head whose elapsed_ms
+    is one float object (``verify_group`` shares them) reuse one string, so
+    the text is joined from shared lines, not from one new string per row.
+    A line is keyed by the head id, the value and its identity, so equal
+    values of another type or sign (1 and 1.0, 0.0 and -0.0) keep their
+    own text."""
     lines = []
     for rep in reports:
         starts = [json.dumps(dict(zip(JSON_FIELDS[:-1], h)))[:-1] + ', "elapsed_ms": '
                   for h in rep.heads]
-        for h, e in zip(rep.head_of, rep.elapsed):
-            if type(e) is not float:  # 1 == 1.0, and their text differs
-                end = json.dumps(e) + "}\n"
-            elif not e:  # 0.0 == -0.0 likewise; json writes a zero as repr does
-                end = f"{e!r}}}\n"
-            elif (end := ends.get(e)) is None:
-                end = ends[e] = json.dumps(e) + "}\n"
-            lines.append(starts[h] + end)
+        done: dict = {}  # (head id, elapsed_ms, its id) -> the row's line
+        for k in zip(rep.head_of, rep.elapsed, map(id, rep.elapsed)):
+            line = done.get(k)
+            if line is None:
+                line = done[k] = starts[k[0]] + json.dumps(k[1]) + "}\n"
+            lines.append(line)
     return "".join(lines)
 
 

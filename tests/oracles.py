@@ -23,7 +23,11 @@ multiplication tables.  These rest on library code, and say so:
   paper on one group: they read the library's partitions and
   ``is_purely_nonabelian``, and the Adney-Yen count compares
   ``distinguished`` with ``hom_order``;
-- ``report_of`` stores hand-built rows through ``Report.intern``.
+- ``report_of`` stores hand-built rows through ``Report.intern``;
+- ``sweep_2_3`` and ``sweep_2_45`` walk ``report.containment`` and
+  ``containing`` one tuple at a time, and ``verify_group_by_tuples``, the
+  row loop over them, shares ``report.CRITERIA``, the order table's
+  ``aut_orders`` and ``Report.intern`` with the library's block loop.
 """
 
 from dataclasses import dataclass
@@ -31,9 +35,11 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from pathlib import Path
+from time import perf_counter_ns
 
 import numpy as np
 
+from autcrit import automorphisms
 from autcrit import criteria as crit
 from autcrit.abelian import hom_order, rank
 from autcrit.automorphisms import (
@@ -49,14 +55,27 @@ from autcrit.automorphisms import (
     distinguished,
 )
 from autcrit.errors import (
+    AbelianInputError,
+    ClassNotTwoError,
     GroupFileError,
     HypothesisViolationError,
     InvariantError,
     NoIdentityError,
     NotAbelianError,
+    OrderBoundExceededError,
 )
 from autcrit.groups import FiniteGroup, Subgroup
-from autcrit.report import Head, Report
+from autcrit.report import (
+    CRITERIA,
+    Head,
+    Report,
+    aut_bound,
+    center_subgroups,
+    containing,
+    containment,
+    group_summary,
+    selected_criteria,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -674,6 +693,137 @@ def sweep_2_45_by_subsets(g):
     for i, qn in zip(above, q):
         for k, mpm in zip(zsubs, mp):
             yield (k, i), (qn, mpm)
+
+
+# The criteria sweeps one tuple at a time, as ``verify_group`` walked them
+# before it walked blocks: each yields (args, key), the key a tuple of the
+# partition ids ``criteria._nested`` reads.  Same tuples and order as the
+# blocks flattened, and keys equal exactly when the blocks' int keys are.
+def sweep_2_3(g):
+    """Admissible (M1, N1, M2, N2), each with the ids of G/G'N1, G/G'N2,
+    M1 and M2, from the containment lists."""
+    p = g.prime_power()[0]
+    normals, below = g.normal_subgroups(), containment(g)
+    zsubs = center_subgroups(g)
+    q = _ids(crit.mod_derived_part(g, n, p) for n in normals)
+    mp = dict(zip(zsubs, _ids(normals[i].partition(p) for i in zsubs)))
+    # each central M2 with its (M1, id) pairs; each N2 with its central M2s
+    pairs = {j: [(i, mp[i]) for i in below[j]] for j in zsubs}
+    central = [[j for j in b if j in mp] for b in below]
+    for i1, b1 in enumerate(below):
+        for i2 in b1:
+            for j in central[i2]:
+                for m1, mp1 in pairs[j]:
+                    yield (m1, i1, j, i2), (q[i1], q[i2], mp1, mp[j])
+
+
+def sweep_2_45(g):
+    """Admissible (M, N) pairs with M <= Z(G) <= N, each with the ids of
+    G/G'N and M, from the containment lists."""
+    p = g.prime_power()[0]
+    normals, zsubs = g.normal_subgroups(), center_subgroups(g)
+    above = containing(g)[zsubs[-1]]
+    q = _ids(crit.mod_derived_part(g, normals[i], p) for i in above)
+    mp = _ids(normals[i].partition(p) for i in zsubs)
+    for i, qn in zip(above, q):
+        for k, mpm in zip(zsubs, mp):
+            yield (k, i), (qn, mpm)
+
+
+TUPLE_SWEEPS = {crit.COR_2_3: sweep_2_3, crit.COR_2_4: sweep_2_45, crit.COR_2_5: sweep_2_45}
+
+
+def verify_group_by_tuples(name, g, criteria_filter=None, force=False, explicit=False,
+                           sweeps=TUPLE_SWEEPS):
+    """``report.verify_group`` as a loop over one tuple at a time: each
+    swept row resumes a (args, key) sweep of ``sweeps``, looks its verdict
+    up by the tuple key, reads both sides from the order table and builds
+    its elapsed_ms afresh.  It takes the predicates, sides and labels from
+    ``report.CRITERIA`` and counts with the same ``aut_orders``; the row
+    path is the reference the block loop is held to."""
+    bound = aut_bound()
+    skip = "" if force or g.n <= bound else (
+        f"skipped: group order {g.n} exceeds automorphism bound {bound}")
+    pp = g.prime_power()
+    p = pp[0] if pp else None
+    report = Report(name, g.n, p, group_summary(g, p))
+    selected = selected_criteria(criteria_filter)
+    if g.n == 1 or g.is_abelian():
+        if explicit:
+            raise AbelianInputError(
+                f"{name} is abelian; criteria apply to non-abelian p-groups only")
+        report.notes.append("abelian input: all criteria skipped (ABELIAN_INPUT)")
+        return report
+    normals = g.normal_subgroups() if any(CRITERIA[c][1] for c in selected) else []
+    report.lattice = tuple(s.sorted_members for s in normals)
+    zsubs, above = (center_subgroups(g), containing(g)) if normals else ([], [])
+    at = [None] * len(normals)
+    for k, m in enumerate(zsubs):
+        at[m] = k * len(normals)
+    orders = [None] * (len(zsubs) * len(normals))
+
+    def count(m, n):
+        row = above[m]
+        sides = automorphisms.aut_orders(g, normals[m], [normals[i] for i in row])
+        for i, k in zip(row, sides):
+            orders[at[m] + i] = k
+        return orders[at[m] + n]
+
+    hs, es, xs = report.head_of, report.elapsed, report.args
+    for cid in sorted(selected):
+        predicate, blocks, _, left, right = CRITERIA[cid]
+        sweep = sweeps[cid] if blocks else None
+        verdicts = {}
+        tag = isinstance(right, str)
+        lm, ln = left if sweep else (None, None)
+        rm, rn = (None, None) if tag else right
+        z = zsubs[-1] if sweep and right == C_STAR else None
+        fixed = None
+        for args, key in sweep(g) if sweep else [((), None)]:
+            t0 = perf_counter_ns()
+            note = skip
+            v = verdicts.get(key)
+            if v is None:
+                try:
+                    verdict = predicate(g, *(normals[i] for i in args))
+                except ClassNotTwoError as exc:
+                    if explicit:
+                        raise
+                    report.notes.append(f"{cid}: skipped ({exc})")
+                    continue
+                v = verdicts[key] = (verdict.predicted_equal, verdict.clause, {})
+            predicted, clause, heads = v
+            try:
+                if skip:
+                    observed = None
+                elif sweep:
+                    m, n = args[lm], args[ln]
+                    small = orders[at[m] + n] or count(m, n)
+                    if tag:
+                        large = fixed = fixed or (
+                            len(automorphisms.distinguished(g, right)) if z is None
+                            else orders[at[z] + z] or count(z, z))
+                    else:
+                        m, n = args[rm], args[rn]
+                        large = orders[at[m] + n] or count(m, n)
+                    if large % small:
+                        raise InvariantError(f"{cid}: left order {small} does not divide {large}")
+                    observed = small == large
+                else:
+                    observed = automorphisms.autset_equal(automorphisms.distinguished(g, left),
+                                                          automorphisms.distinguished(g, right))
+            except OrderBoundExceededError as exc:
+                observed, note = None, f"skipped: {exc}"
+            elapsed = (perf_counter_ns() - t0 + 500) // 1000 / 1000
+            h = heads.get((observed, note))
+            if h is None:
+                match = None if observed is None else observed == predicted
+                h = heads[observed, note] = report.intern(
+                    Head(name, g.n, p, cid, predicted, observed, match, clause, note))
+            hs.append(h)
+            es.append(elapsed)
+            xs.append(args)
+    return report
 
 
 def is_identity(a):

@@ -2,20 +2,22 @@ import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autcrit import cli
+from autcrit import automorphisms, cli
 from autcrit import criteria as crit
 from autcrit import report as report_mod
 from autcrit.catalog import build_group, eval_recipe, get_spec
 from autcrit.criteria import CriterionVerdict
 from autcrit.groups import DEFAULT_INGEST_BOUND
 from autcrit.report import verify_group
-from oracles import report_of
+from conftest import STRESS_RECIPES
+from oracles import TUPLE_SWEEPS, report_of, verify_group_by_tuples
 
 JSON_FIELDS = [
     "group", "order", "prime", "criterion", "predicted", "observed",
@@ -390,6 +392,107 @@ class TestRowStore:
         assert list(map(repr, rep.rows)) == list(map(repr, rows))
         assert report_mod.reports_to_json_lines([rep]) == "".join(
             json.dumps({f: getattr(r, f) for f in report_mod.JSON_FIELDS}) + "\n" for r in rows)
+
+
+def without_elapsed(rep):
+    """A report's JSON lines, each cut before its elapsed_ms."""
+    return [ln.rsplit(', "elapsed_ms": ', 1)[0]
+            for ln in report_mod.reports_to_json_lines([rep]).splitlines()]
+
+
+def assert_same_rows(got, want, name):
+    assert got.summary == want.summary and got.lattice == want.lattice, name
+    assert got.heads == want.heads, name
+    assert got.head_of == want.head_of, name
+    assert got.args == want.args, name
+    assert got.notes == want.notes, name
+    assert len(got.elapsed) == len(want.elapsed), name
+    assert without_elapsed(got) == without_elapsed(want), name
+
+
+class TestRowPath:
+    """``verify_group``'s block loop against the per-tuple loop it
+    replaced, ``oracles.verify_group_by_tuples``: the same heads, head ids,
+    args, notes and JSON but for elapsed_ms."""
+
+    @staticmethod
+    def groups(corpus, stress_groups):
+        groups = sorted((name, g) for name, (_, g) in corpus.items())
+        return groups + sorted(stress_groups.items())
+
+    @pytest.mark.parametrize("criteria", [None] + [[c] for c in sorted(report_mod.CRITERIA)],
+                             ids=["all"] + sorted(report_mod.CRITERIA))
+    def test_matches_tuple_loop(self, corpus, stress_groups, criteria):
+        groups = self.groups(corpus, stress_groups)
+        assert len(groups) == 63
+        rows = 0
+        for name, g in groups:
+            got = verify_group(name, g, criteria)
+            assert_same_rows(got, verify_group_by_tuples(name, g, criteria), name)
+            rows += len(got.head_of)
+        assert rows == 31232 if criteria is None else rows > 0  # 11,221 + 20,011 in all
+
+    def test_aut_bound_skips_match(self, monkeypatch, corpus, stress_groups):
+        monkeypatch.setenv("AUTCRIT_AUT_BOUND", "8")
+        skipped = 0
+        for name, g in self.groups(corpus, stress_groups):
+            got = verify_group(name, g)
+            assert_same_rows(got, verify_group_by_tuples(name, g), name)
+            skipped += sum(h.observed is None for h in got.heads)
+        assert skipped
+
+    def test_member_bound_skips_match(self, monkeypatch):
+        # a census or a composition above 50 members is refused, so some
+        # swept rows of a block are skipped and others confirmed; each side
+        # gets fresh groups, as a census once counted is memoised
+        monkeypatch.setattr(automorphisms, "DEFAULT_AUT_MEMBER_BOUND", 50)
+        note = "automorphisms exceed member bound 50"
+        for name, recipe in sorted(STRESS_RECIPES.items()):
+            got = verify_group(name, eval_recipe(recipe))
+            assert_same_rows(got, verify_group_by_tuples(name, eval_recipe(recipe)), name)
+            swept = [h for h in got.heads if h.criterion == crit.COR_2_3]
+            assert any(h.match for h in swept), name
+            assert any(h.match is None and note in h.note for h in swept), name
+
+    def test_coarse_key_matches(self, monkeypatch, stress_groups):
+        # one verdict for every COR_2_3 row, so its rows disagree with it
+        # and one verdict needs a head for each observed value
+        predicate, blocks, *rest = report_mod.CRITERIA[crit.COR_2_3]
+
+        def coarse(g):
+            for _, rest, pairs in blocks(g):
+                yield 0, rest, [(first, 0) for first, _ in pairs]
+
+        def coarse_tuples(g):
+            for args, _ in TUPLE_SWEEPS[crit.COR_2_3](g):
+                yield args, 0
+
+        monkeypatch.setitem(report_mod.CRITERIA, crit.COR_2_3, (predicate, coarse, *rest))
+        for name, g in sorted(stress_groups.items()):
+            got = verify_group(name, g, [crit.COR_2_3])
+            want = verify_group_by_tuples(name, g, [crit.COR_2_3],
+                                          sweeps={crit.COR_2_3: coarse_tuples})
+            assert_same_rows(got, want, name)
+            assert {h.match for h in got.heads} == {True, False}, name
+
+    def test_elapsed_floats_shared(self, stress_groups):
+        # elapsed_ms to the microsecond, one float object per distinct value
+        rep = verify_group("Q8xC4xC2", stress_groups["Q8xC4xC2"])
+        assert all(type(e) is float for e in rep.elapsed)
+        assert len(set(map(id, rep.elapsed))) == len(set(rep.elapsed)) < len(rep.elapsed)
+
+    def test_json_writer_peak(self, stress_groups):
+        # the lines are shared strings, so the writer's peak is about the
+        # text it returns, not one new string per row on top of it
+        rep = verify_group("Q8xC4xC2", stress_groups["Q8xC4xC2"])
+        tracemalloc.start()
+        try:
+            text = report_mod.reports_to_json_lines([rep])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 19259
+        assert peak <= 1.3 * len(text), peak / len(text)
 
 
 class TestHom:

@@ -58,14 +58,20 @@ from autcrit.errors import (
     HypothesisViolationError,
     NotPGroupError,
 )
-from autcrit.report import (center_subgroups, containing, containment, sweep_2_3, sweep_2_45,
-                            verify_group)
+from autcrit.report import center_subgroups, containing, containment, verify_group
 from oracles import (adney_yen_check, center_subgroups_by_subsets, lemma_2_11_check, member_rows,
-                     sweep_2_3_by_subsets, sweep_2_45_by_subsets)
+                     sweep_2_3, sweep_2_3_by_subsets, sweep_2_45, sweep_2_45_by_subsets)
 
 
 def by_name(name):
     return build_group(get_spec(name))
+
+
+def block_rows(blocks):
+    """A block sweep's rows one at a time, each as (args, verdict key)."""
+    for key, rest, pairs in blocks:
+        for first, i in pairs:
+            yield first + rest, key + i
 
 
 def swept(g, sweep):
@@ -550,7 +556,7 @@ def swept_sides(g):
 
     for cid, (_, sweep, _, left, right) in report_mod.CRITERIA.items():
         if sweep is not None:
-            for args, _ in sweep(g):
+            for args, _ in block_rows(sweep(g)):
                 (a, i), (b, j) = side(left, args), side(right, args)
                 yield cid, args, a, b, i, j
 
@@ -635,6 +641,14 @@ class TestContainment:
             got = list(sweep_2_3(g))
             assert got == list(sweep_2_3_by_subsets(g)), name
             tuples += len(got)
+            # the block sweeps walk the same tuples in the same order, and
+            # their int keys are equal exactly when the tuple keys are
+            for blocks, sweep in ((report_mod.sweep_2_3, sweep_2_3),
+                                  (report_mod.sweep_2_45, sweep_2_45)):
+                flat, want = list(block_rows(blocks(g))), list(sweep(g))
+                assert [args for args, _ in flat] == [args for args, _ in want], name
+                keys = set(zip((k for _, k in flat), (k for _, k in want)))
+                assert len(keys) == len({k for k, _ in keys}) == len({k for _, k in keys}), name
         assert tuples == 111151  # 29,300 on the catalog and stress groups
 
 

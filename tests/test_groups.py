@@ -363,6 +363,10 @@ class TestFromPermutations:
         # 1.0 sorts and compares equal to 1, so only a type check refuses it
         with pytest.raises(InvalidPermutationError):
             FiniteGroup.from_permutation_generators([(1.0, 0)])
+        # a generator that is not a sequence is refused before any check
+        for gens in ([5], [[0, 1], None]):
+            with pytest.raises(InvalidPermutationError):
+                FiniteGroup.from_permutation_generators(gens)
 
     def test_order_bound(self, monkeypatch):
         monkeypatch.setattr("autcrit.groups.DEFAULT_INGEST_BOUND", 10)
@@ -552,23 +556,26 @@ class TestQuotient:
         "g, real = quaternion_group(8), automorphisms._fingerprints\n"
         "automorphisms._fingerprints = lambda g: [(p, x == 3) for x, p in enumerate(real(g))]\n"
         "automorphisms._search(g, g.full_subgroup(), g.trivial_subgroup())\n",
-        # a sweep that swaps M1 and M2 makes the left side no subgroup of
-        # the right; the predicate gets the tuple back in order, as its
-        # hypothesis checks would refuse the swap before any side is counted
+        # a block sweep that swaps M1 and M2, one row per block so that
+        # each block still shares its right side, makes the left side no
+        # subgroup of the right; the predicate gets the tuple back in
+        # order, as its hypothesis checks would refuse the swap before any
+        # side is counted
         "from autcrit import report\n"
         "from autcrit.catalog import dihedral_group\n"
         "predicate, sweep, *rest = report.CRITERIA['COR_2_3']\n"
         "def swapped(g):\n"
-        "    for (m1, n1, m2, n2), key in sweep(g):\n"
-        "        yield (m2, n1, m1, n2), key\n"
+        "    for key, (n1, m2, n2), pairs in sweep(g):\n"
+        "        for (m1,), i in pairs:\n"
+        "            yield key + i, (n1, m1, n2), [((m2,), 0)]\n"
         "def unswapped(g, m2, n1, m1, n2):\n"
         "    return predicate(g, m1, n1, m2, n2)\n"
         "report.CRITERIA['COR_2_3'] = (unswapped, swapped, *rest)\n"
         "report.verify_group('D8', dihedral_group(8))\n",
         # the divisibility guard reads both sides on every row, also from
         # the order table: a stub gives |Aut^1_1| = 8 and |Aut^1_G| = 1,
-        # the first tuple fills the trivial M's whole row, and the third
-        # tuple finds both sides cached; a second fill of that row would
+        # the first block fills the trivial M's whole row, and the third
+        # block finds both sides cached; a second fill of that row would
         # mean a side was not read from the table
         "from autcrit import automorphisms, report\n"
         "from autcrit.catalog import dihedral_group\n"
@@ -583,7 +590,7 @@ class TestQuotient:
         "predicate, sweep, *rest = report.CRITERIA['COR_2_3']\n"
         "def cached(g):\n"
         "    for n1, n2 in ((0, 0), (top, top), (0, top)):\n"
-        "        yield (0, n1, 0, n2), 'one key'\n"
+        "        yield 0, (n1, 0, n2), [((0,), 0)]\n"
         "report.CRITERIA['COR_2_3'] = (predicate, cached, *rest)\n"
         "report.verify_group('D8', g, ['COR_2_3'])\n",
         # a join that returns the whole group is no cover of index p
