@@ -4,8 +4,8 @@ Groups here are small (a few hundred elements at most for structural
 work), so the representation is the full n x n multiplication table with
 the identity normalised to index 0.  That buys O(1) products, trivial
 serialisation, and whole-table validation that proves associativity by
-Light's test on a generating set (a closure-built table names its own,
-through its spanning tree); everything structural (center, derived
+Light's test on a generating set, picked by one greedy walk of right
+products whatever built the table; everything structural (center, derived
 subgroup, quotients, a p-group's normal lattice by index-p covers) is
 computed by scans and closures over the table, and the abelian invariants
 of a section H/K are counted on the parent's table, with no quotient or
@@ -77,12 +77,10 @@ class FiniteGroup:
 
     __slots__ = ("n", "table", "_inv", "_cache")
 
-    def __init__(self, table, _tree=None):
-        # _tree: from_permutation_generators' spanning tree, see _validate_table
-        arr = _square(table)
-        _validate_table(arr, _tree)
-        self.n = len(arr)
-        self.table = tuple(map(tuple, arr.tolist()))
+    def __init__(self, table):
+        arr, rows = _validate_table(_square(table))
+        self.n = len(rows)
+        self.table = tuple(map(tuple, rows))
         self._cache: dict = {}
         self._inv = tuple(arr.argmin(1).tolist())  # each row holds 0 once
 
@@ -92,16 +90,19 @@ class FiniteGroup:
         trades labels with element 0; every other element keeps its own."""
         arr = _square(table)
         ar = np.arange(len(arr))
-        found = np.flatnonzero((arr == ar).all(1) & (arr == ar[:, None]).all(0))
-        if not found.size:
+        # an identity e has e*0 = 0, so only those rows are candidates
+        e = next((int(r) for r in np.flatnonzero(arr[:, 0] == 0)
+                  if (arr[r] == ar).all() and (arr[:, r] == ar).all()), None)
+        if e is None:
             raise NoIdentityError("table has no two-sided identity")
-        e = int(found[0])
         if e:
-            # the swap of 0 and e is its own inverse; entries outside 0..n-1
-            # stay for validation to refuse, where a lookup in it would wrap
-            ar[0], ar[e] = e, 0
-            sub = arr[np.ix_(ar, ar)]
-            arr = np.where(sub == 0, e, np.where(sub == e, 0, sub))
+            # relabel by the swap of 0 and e: rows, then columns, then
+            # entries; entries outside 0..n-1 stay for validation to refuse
+            arr = arr.copy()
+            arr[[0, e]] = arr[[e, 0]]
+            arr[:, [0, e]] = arr[:, [e, 0]]
+            zeros, es = arr == 0, arr == e
+            arr[zeros], arr[es] = e, 0
         return cls(arr)
 
     @classmethod
@@ -114,9 +115,7 @@ class FiniteGroup:
         generator, records u -> u*g_k for every generator and the edge
         j = parent(j)*g_k that first reached j; as a*j = (a*parent(j))*g_k,
         column j is column parent(j) read through g_k's map.  Cost
-        O(n*|gens|*degree + n**2), not O(n**2*degree).  Those edges form
-        a spanning tree with parent(j) < j, which validation checks
-        against the table and uses in place of a search for generators.
+        O(n*|gens|*degree + n**2), not O(n**2*degree).
 
         The empty generator list gives the trivial group (degree may be
         supplied to fix the domain, otherwise 1 is used).  An entry that
@@ -166,9 +165,7 @@ class FiniteGroup:
         for j in range(1, n):
             parent, k = edge[j]
             cols[j] = rmul[k, cols[parent]]
-        # element j >= 1 is parent(j) * g_k, and g_k = 0 * g_k has index right[k][0]
-        parents, ks = np.array(edge, dtype=np.intp)[1:].T
-        return cls(cols.T, (parents, np.array([r[0] for r in right], dtype=np.intp)[ks]))
+        return cls(cols.T)
 
     # -- basic operations -------------------------------------------------
 
@@ -235,6 +232,10 @@ class FiniteGroup:
     def prime_power(self) -> tuple[int, int] | None:
         """(p, m) for a p-group of order p**m >= 2, None for the trivial group."""
         return self._memo("prime_power", lambda: prime_power_order(self.n))
+
+    def _powers(self, p: int) -> tuple[int, ...]:
+        """x**p for every element x, memoised."""
+        return self._memo(("powers", p), lambda: tuple(self.power(x, p) for x in range(self.n)))
 
     def _memo(self, key, fn):
         """The cached value for ``key``, computed by ``fn`` on first use; an
@@ -327,8 +328,7 @@ class FiniteGroup:
         pp = self.prime_power()
         if pp is None:
             return self.trivial_subgroup()
-        p = pp[0]
-        return Subgroup(self, self.closure({self.power(a, p) for a in range(self.n)}))
+        return Subgroup(self, self.closure(set(self._powers(pp[0]))))
 
     def frattini_subgroup(self) -> "Subgroup":
         """Phi(G) = G' * <g^p> for a p-group (Burnside)."""
@@ -426,16 +426,21 @@ class FiniteGroup:
         q, m = pp
         if p is not None and p != q:
             raise NotPGroupError(f"section has order {q}**{m}, not a {p}-group")
-        powers = self._memo(("powers", q), lambda: tuple(self.power(x, q) for x in range(self.n)))
+        powers = self._powers(q)
         first = [0] * (m + 1)  # first[j]: the x in H with x**(q**j) in K but no lower power
         for x in h.members:
             j = 0
             while x not in kms:
                 x, j = powers[x], j + 1
             first[j] += 1
-        # log_q of the count at j over |K|: 0 at j = 0, where the count is |K|
-        logs = [0] + [next(s for s in range(m + 1) if q**s >= sum(first[:j + 1]) // k.order)
-                      for j in range(1, m + 1)]
+        # log_q of the count at j over |K|: 0 at j = 0, where the count is
+        # |K|; the counts grow with j, so one running sum and one rising s
+        logs, count, s = [0], first[0], 0
+        for j in range(1, m + 1):
+            count += first[j]
+            while q**s < count // k.order:
+                s += 1
+            logs.append(s)
         conj = [b - a for a, b in zip(logs, logs[1:])]
         exps = tuple(sum(1 for d in conj if d >= i) for i in range(1, max(conj) + 1))
         part = PPartition(q, exps)
@@ -518,7 +523,7 @@ class FiniteGroup:
             pp = self.prime_power()  # NotPGroupError for a group that is not a p-group
             p = pp[0] if pp else 1  # the trivial group has no cover to find
             gens = self.full_subgroup().generators()
-            powers = self._memo(("powers", p), lambda: tuple(self.power(x, p) for x in range(n)))
+            powers = self._powers(p)
             found, work = {frozenset({0})}, [frozenset({0})]
             for members in work:  # grows while it is walked, so breadth-first
                 news, covered = [], set(members)
@@ -662,56 +667,50 @@ def _square(table) -> np.ndarray:
     return arr
 
 
-def _validate_table(arr: np.ndarray, tree=None) -> None:
-    """Check that an n x n integer array is a group table with identity 0.
+def _validate_table(arr: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Check that an n x n integer array is a group table with identity 0;
+    return it as int32 and as nested lists.
 
-    Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x, y
-    are closed under the product, so checking a generating set is enough.
-    Without ``tree`` the set is found by ``_raw_generators``.
-
-    A closure-built table comes with a spanning tree instead: arrays
-    ``(parents, via)`` that give each element j >= 1 as
-    parents[j-1] * via[j-1] with parents[j-1] < j.  Both are checked on the
-    table itself, and Light's test runs over the distinct ``via`` entries.
-    That is sound: the elements g with (x*g)*y = x*(g*y) for all x, y are
-    closed under the product, element 0 is one, and the test shows each
-    ``via`` entry is one; so by induction on j, element
-    j = parents[j-1] * via[j-1] is one too."""
+    Associativity is Light's test: the g with (x*g)*y = x*(g*y) for all x,
+    y hold 0 and are closed under the product, so checking the picks of
+    ``_right_generators`` is enough, as every element is reached from 0 by
+    right multiplication by picks."""
     n = len(arr)
-    ident = np.arange(n)
-    # sorted rows and columns equal to 0..n-1 also bound every entry
+    # before the narrowing, which would wrap an entry like 2**32 onto 0
+    if arr.min() < 0 or arr.max() >= n:
+        raise NotLatinSquareError("an entry lies outside 0..n-1")
+    arr = arr.astype(np.int32, copy=False)
+    ident = np.arange(n, dtype=np.int32)
     if not ((np.sort(arr, axis=1) == ident).all() and (np.sort(arr, axis=0).T == ident).all()):
         raise NotLatinSquareError("a row or column is not a permutation of 0..n-1")
     if not ((arr[0] == ident).all() and (arr[:, 0] == ident).all()):
         raise NoIdentityError("element 0 is not a two-sided identity")
-    if tree is None:
-        gens = _raw_generators(arr)
-    else:
-        parents, via = tree
-        kids = ident[1:]
-        if not (len(parents) == len(via) == n - 1 and ((0 <= parents) & (parents < kids)).all()
-                and (arr[parents, via] == kids).all()):
-            raise InvariantError("the spanning tree does not reach each element from a lower one")
-        gens = sorted(set(via.tolist()))  # np.unique would import numpy.ma, ~1.3 MB
-    for g in gens:
+    rows = arr.tolist()
+    for g in _right_generators(rows):
         if not (arr[arr[:, g]] == arr[:, arr[g]]).all():
             raise NotAssociativeError(f"associativity fails through generator {g}")
+    return arr, rows
 
 
-def _raw_generators(arr: np.ndarray) -> list[int]:
-    """Greedy generators of a Latin square with identity 0 for Light's test.
-    Before associativity is known, an element is reached only through raw
-    products (all bracketings) of those before it, added by whole rounds."""
+def _right_generators(rows: list[list[int]]) -> list[int]:
+    """Greedy generators of a Latin square with identity 0: each pick is
+    the least element not yet reached from 0 by the steps x -> x*s over
+    the picks s.  On a group table the reach is the subgroup the picks
+    generate."""
     gens: list[int] = []
-    inside = np.zeros(len(arr), dtype=bool)
-    inside[0] = True
-    while not inside.all():
-        gens.append(int(inside.argmin()))
-        inside[gens[-1]] = True
-        members = ()
-        while len(members) < np.count_nonzero(inside):  # the last round grew
-            members = np.flatnonzero(inside)
-            inside[arr[members][:, members]] = True
+    reached, seen, s = [0], bytearray([1]) + bytes(len(rows) - 1), 0
+    while len(reached) < len(rows):
+        s = seen.index(0, s)
+        gens.append(s)
+        old = len(reached)  # the elements before s took every earlier pick
+        seen[s] = 1  # s = 0*s
+        reached.append(s)
+        for i, x in enumerate(reached):  # grows while it is walked
+            row = rows[x]
+            for g in (gens if i >= old else (s,)):
+                if not seen[y := row[g]]:
+                    seen[y] = 1
+                    reached.append(y)
     return gens
 
 

@@ -402,6 +402,24 @@ def raw_generators(table):
     return gens
 
 
+def right_generators(table):
+    """Greedy generators of a Latin square with identity 0 under right
+    multiplication: each is the least element outside the set reached from
+    0 by steps x -> x*s over the earlier ones and itself; the set is grown
+    by scanning it against every generator until a scan adds nothing."""
+    n = len(table)
+    gens = []
+    reach = {0}
+    while len(reach) < n:
+        gens.append(min(set(range(n)) - reach))
+        while True:
+            new = {table[x][s] for x in reach for s in gens} - reach
+            if not new:
+                break
+            reach |= new
+    return gens
+
+
 def permutation_table(gens, degree):
     """Cayley table of the group generated by permutations (0-based image
     tuples), by breadth-first closure and then composing every pair of

@@ -23,7 +23,6 @@ from autcrit.catalog import (
 from autcrit.errors import (
     GroupFileError,
     InvalidPermutationError,
-    InvariantError,
     NoIdentityError,
     NotAbelianError,
     NotASubgroupError,
@@ -39,8 +38,7 @@ from autcrit.formats import parse_group_text
 from autcrit.groups import (
     FiniteGroup,
     Subgroup,
-    _raw_generators,
-    _validate_table,
+    _right_generators,
     direct_product,
     subgroup_product,
 )
@@ -61,6 +59,7 @@ from oracles import (
     min_generating_size,
     permutation_table,
     raw_generators,
+    right_generators,
     section_exps,
     to_cayley_text,
     unpruned_direct_factor,
@@ -107,7 +106,7 @@ class TestFromTable:
             FiniteGroup.from_table(NONASSOC_5)
 
     def test_generator_test_accepts_large_group(self):
-        # Light's test over generators found by raw-product closure, on
+        # Light's test over generators found by a walk of right products, on
         # an order where a triple scan would cost 343**3 products
         g = direct_product(cyclic_group(7), cyclic_group(49))
         assert g.n == 343
@@ -128,9 +127,11 @@ class TestFromTable:
 
     @pytest.mark.parametrize("build", [FiniteGroup, FiniteGroup.from_table])
     @pytest.mark.parametrize(
-        "rows", [[[0, 1], [1]], [[0, 1], [1, 10**30]], [[0, 1], [1, -10**30]]],
-        ids=["ragged", "oversized", "negative oversized"])
+        "rows", [[[0, 1], [1]], [[0, 1], [1, 10**30]], [[0, 1], [1, -10**30]],
+                 [[0, 1], [1, 2**32]], [[0, 1], [1, 2**32 + 1]]],
+        ids=["ragged", "oversized", "negative oversized", "2**32", "2**32 + 1"])
     def test_ragged_or_oversized(self, build, rows):
+        # 2**32 and 2**32 + 1 would wrap onto 0 and 1 in the int32 table
         with pytest.raises(NotLatinSquareError):
             build(rows)
 
@@ -194,6 +195,12 @@ MALFORMED = [
      NotLatinSquareError, IndexError),
     ("negative entry, identity at 2", "cayley 3\n1 -1 0\n2 0 1\n0 1 2\n",
      NotLatinSquareError, None),
+    ("entry 2**32", "cayley 2\n0 1\n1 4294967296\n", NotLatinSquareError, NotLatinSquareError),
+    ("entry 2**32 + 1", "cayley 2\n0 1\n1 4294967297\n",
+     NotLatinSquareError, NotLatinSquareError),
+    # rows 0 and 1 both start with 0, and only row 1 is an identity
+    ("not Latin, identity at 1", "cayley 3\n0 0 1\n0 1 2\n2 2 0\n",
+     NotLatinSquareError, NotLatinSquareError),
 ]
 
 
@@ -245,37 +252,15 @@ def intercalates(rows):
     ]
 
 
-def raw_product_tree(rows):
-    """``rows`` relabelled in the order that raw products of its raw
-    generators first reach each element, with that walk's spanning tree:
-    each generator g is 0 * g and each other element the first a * b of two
-    elements reached before it, so every parent is below its child."""
-    n = len(rows)
-    reached = {0: None}  # element -> (a, b) with a * b the element
-    for g in raw_generators(rows):
-        reached[g] = (0, g)
-    while len(reached) < n:
-        for a in list(reached):
-            for b in list(reached):
-                reached.setdefault(rows[a][b], (a, b))
-    pi = {x: i for i, x in enumerate(reached)}
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            table[pi[a]][pi[b]] = pi[rows[a][b]]
-    parents, via = zip(*[(pi[a], pi[b]) for a, b in list(reached.values())[1:]])
-    return table, np.array(parents), np.array(via)
-
-
-def switched_loop(corpus, data):
-    """A catalog table of a 2-group of order 4..16 with one to three
-    intercalates switched: swapping the two columns of an intercalate
-    within both of its rows keeps a Latin square with identity 0, usually
-    breaking associativity."""
+def switched_loop(corpus, data, most=3):
+    """A catalog table of a 2-group of order 4..16, built by permutation
+    closure, with one to ``most`` intercalates switched: swapping the two
+    columns of an intercalate within both of its rows keeps a Latin square
+    with identity 0, usually breaking associativity."""
     tables = [g.table for _, (spec, g) in sorted(corpus.items())
               if spec.prime == 2 and 4 <= g.n <= 16]
     rows = [list(r) for r in data.draw(st.sampled_from(tables))]
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(1, most))):
         spots = intercalates(rows)
         if not spots:
             break
@@ -283,14 +268,6 @@ def switched_loop(corpus, data):
         rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
         rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
     return rows
-
-
-def accepts(arr, tree=None):
-    try:
-        _validate_table(arr, tree)
-    except NotAssociativeError:
-        return False
-    return True
 
 
 class TestAssociativityAgainstOracle:
@@ -301,15 +278,15 @@ class TestAssociativityAgainstOracle:
         for name, (spec, g) in sorted(corpus.items()):
             assert is_associative(g.table), name
             assert FiniteGroup(g.table).table == g.table, name
-            if g.n <= 81:
-                # Light's test runs through exactly the greedy raw-product generators
-                assert _raw_generators(np.array(g.table)) == raw_generators(g.table), name
+            # on a group table, Light's test runs through exactly the greedy
+            # raw-product generators
+            assert _right_generators([list(r) for r in g.table]) == raw_generators(g.table), name
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_switched_loops(self, corpus, data):
         rows = switched_loop(corpus, data)
-        assert _raw_generators(np.array(rows)) == raw_generators(rows)
+        assert _right_generators(rows) == right_generators(rows)
         if is_associative(rows):
             FiniteGroup(rows)
         else:
@@ -318,24 +295,12 @@ class TestAssociativityAgainstOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_spanning_tree_decides_as_raw_generators(self, corpus, data):
-        # Light's test through a spanning tree's generators accepts exactly
-        # the tables that it accepts through the raw generators, and a tree
-        # that misstates a product or an order is refused
-        table, parents, via = raw_product_tree(switched_loop(corpus, data))
-        arr, n = np.array(table), len(table)
-        assert accepts(arr, (parents, via)) == accepts(arr) == is_associative(table)
-        j = data.draw(st.integers(1, n - 1))
-        wrong = via.copy()
-        wrong[j - 1] = data.draw(st.sampled_from([b for b in range(n) if b != via[j - 1]]))
-        with pytest.raises(InvariantError):
-            _validate_table(arr, (parents, wrong))
-        # a true product from a parent at or above its child
-        above, col = parents.copy(), via.copy()
-        above[j - 1] = data.draw(st.integers(j, n - 1))
-        col[j - 1] = table[above[j - 1]].index(j)
-        with pytest.raises(InvariantError):
-            _validate_table(arr, (above, col))
+    def test_one_switch_decides_as_oracle(self, corpus, data):
+        # a closure-built table with one intercalate switched: Light's test
+        # through the right-product picks refuses it exactly when the
+        # triple scan does
+        rows = switched_loop(corpus, data, most=1)
+        assert raised(FiniteGroup, rows) is (None if is_associative(rows) else NotAssociativeError)
 
 
 class TestFromPermutations:
