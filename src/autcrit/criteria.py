@@ -53,7 +53,7 @@ from .errors import (
     HypothesisViolationError,
     InvariantError,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_product
+from .groups import FiniteGroup, Subgroup
 
 COR_2_3 = "COR_2_3"
 COR_2_4 = "COR_2_4"
@@ -98,14 +98,18 @@ def _require_nonabelian_p_group(g: FiniteGroup) -> int:
 
 
 def mod_derived_part(g: FiniteGroup, n: Subgroup, p: int) -> PPartition:
-    """Partition of G / (G' N), abelian as G'N holds G', counted on G's
-    table by ``FiniteGroup.section_partition``; no quotient is built."""
-    key = ("mod_derived_part", n.members)
-
+    """Partition of G / (G' N), read as the section A / pi(N) of the
+    abelian A = G/G', the one quotient G builds (memoised, and built by
+    ``FiniteGroup.is_purely_nonabelian`` too), with pi its projection.
+    The count is memoised on A by pi(N), so every N with the same G'N
+    shares one; the result is memoised on G by N."""
     def compute():
-        return g.section_partition(g.full_subgroup(), subgroup_product(g.derived_subgroup(), n), p)
+        q = g.quotient(g.derived_subgroup())
+        a, image = q.group, frozenset(map(q.projection.__getitem__, n.members))
+        return a._memo(("section", image), lambda: a.section_partition(
+            a.full_subgroup(), Subgroup(a, image), p))
 
-    return g._memo(key, compute)
+    return g._memo(("mod_derived_part", n.members), compute)
 
 
 def _hom_targets(g: FiniteGroup, a: PPartition, b: PPartition, c: PPartition) -> HomVerdict:

@@ -9,7 +9,9 @@ products whatever built the table; everything structural (center, derived
 subgroup, quotients, a p-group's normal lattice by index-p covers) is
 computed by scans and closures over the table, and the abelian invariants
 of a section H/K are counted on the parent's table, with no quotient or
-copy built to read them (``section_partition``).  One walk grows every
+copy built to read them (``section_partition``).  The one quotient a
+summary builds is G/G': the abelian-factor test reads its powers, and
+the sections G/G'N are counted on it.  One walk grows every
 subgroup: ``FiniteGroup.join`` adds a left coset of the subgroup so far
 for each new product of a generator and a coset representative, and
 closure, greedy generator choice and the lattice all call it.
@@ -470,35 +472,24 @@ class FiniteGroup:
 
         return self._memo("class", compute)
 
-    def is_purely_nonabelian(self) -> tuple[bool, tuple["Subgroup", "Subgroup"] | None]:
-        """Whether G has no nontrivial abelian direct factor; (False, (A, B))
-        with G = A x B, A nontrivial abelian, when one exists.  A group that
+    def is_purely_nonabelian(self) -> bool:
+        """Whether G has no nontrivial abelian direct factor.  A group that
         is not a p-group raises NotPGroupError.
 
         G has an abelian factor iff it has a cyclic one, <z> with z central,
         and a complement of <z> holds G'.  So <z> of order m is a factor iff
         <zG'> has order m and is pure, hence a summand (Kulikov), in G/G':
         iff z**(m/p) G' is not an m-th power there (1 = 1**m refuses z**(m/p)
-        in G').  B is the preimage of a complement of <zG'> in G/G'."""
+        in G').  One quotient is built and no lattice is read."""
         def compute():
             if (pp := self.prime_power()) is None:
-                return (True, None)
+                return True
             if self.is_abelian():
-                return (False, (self.full_subgroup(), self.trivial_subgroup()))
+                return False
             q, orders = self.quotient(self.derived_subgroup()), self.element_orders()
             ab, proj, zs = q.group, q.projection, self.center().sorted_members[1:]
             powers = {m: {ab.power(y, m) for y in range(ab.n)} for m in {orders[z] for z in zs}}
-            for z in zs:
-                m = orders[z]
-                if proj[self.power(z, m // pp[0])] in powers[m]:
-                    continue
-                zq = {ab.power(proj[z], i) for i in range(m)}
-                for c in ab.normal_subgroups():
-                    if c.order * m == ab.n and len(c.members & zq) == 1:
-                        b = Subgroup(self, frozenset(x for x in range(self.n) if proj[x] in c))
-                        return (False, (self.generated_subgroup([z]), b))
-                raise InvariantError(f"<zG'> of order {m} is pure but has no complement")
-            return (True, None)
+            return all(proj[self.power(z, orders[z] // pp[0])] in powers[orders[z]] for z in zs)
 
         return self._memo("purely_nonabelian", compute)
 
@@ -508,9 +499,12 @@ class FiniteGroup:
         Breadth-first from {0}, each found N is joined with one x at a time,
         as <x>N.  In a p-group, for normal N < K, K/N meets Z(G/N): some x
         in K - N has x**p and [x, t] in N for each generator t of G, so N<x>
-        is normal, of index p over N and inside K.  An x in a cover found
-        from N gives that cover again.  A group that is not a p-group
-        raises NotPGroupError; the trivial group's lattice is {1}."""
+        is normal, of index p over N and inside K.  That test is one
+        bitmask per x, read once per group: need[x] within N's mask.  An x
+        in a cover found from N gives that cover again, so the covers' union
+        is kept as a mask too.  Each Subgroup is born with "normal" and its
+        mask cached.  A group that is not a p-group raises NotPGroupError;
+        the trivial group's lattice is {1}."""
         # checked before the memo lookup, so a cached lattice never bypasses it
         if self.n > DEFAULT_SUBGROUP_ENUM_BOUND:
             raise OrderBoundExceededError(
@@ -523,23 +517,33 @@ class FiniteGroup:
             pp = self.prime_power()  # NotPGroupError for a group that is not a p-group
             p = pp[0] if pp else 1  # the trivial group has no cover to find
             gens = self.full_subgroup().generators()
-            powers = self._powers(p)
-            found, work = {frozenset({0})}, [frozenset({0})]
+            powers, bit = self._powers(p), [1 << x for x in range(n)]
+            # need[x]: the bits of x**p and of [x, s] for each generator s
+            need = []
+            for x, row, ix in zip(range(n), t, inv):
+                m = bit[powers[x]]
+                for s in gens:
+                    m |= bit[t[t[ix][inv[s]]][row[s]]]
+                need.append(m)
+            found = {frozenset({0}): 1}  # members -> mask
+            work = [frozenset({0})]
             for members in work:  # grows while it is walked, so breadth-first
-                news, covered = [], set(members)
+                mask = covered = found[members]
                 for x in range(1, n):
-                    if x not in covered and powers[x] in members and all(
-                            t[t[inv[x]][inv[s]]][t[x][s]] in members for s in gens):
-                        news.append(cover := self.join(members, (x,)))
+                    if not covered & bit[x] and need[x] | mask == mask:
+                        cover = self.join(members, (x,))
                         if len(cover) != p * len(members):
                             raise InvariantError(f"a cover of N has order {len(cover)}")
-                        covered |= cover
-                work += (fresh := set(news) - found)
-                found |= fresh
+                        cm = found.get(cover)
+                        if cm is None:
+                            cm = found[cover] = sum(map(bit.__getitem__, cover))
+                            work.append(cover)
+                        covered |= cm
             subs = [Subgroup(self, ms) for ms in found]
             subs.sort(key=lambda s: (s.order, s.sorted_members))
             for s in subs:
                 s._cache["normal"] = True
+                s._cache["mask"] = found[s.members]
             return subs
 
         return self._memo("normal_subgroups", compute)

@@ -22,13 +22,17 @@ the order of a distinguished set.  A single-group row compares two sets.
 A report keeps its rows as shared heads plus per-row columns.  A head
 is what rows share: (group, order, prime, criterion, predicted, observed,
 match, clause, note), each distinct one stored once; a row is a head id,
-its elapsed_ms as measured, and its args tuple, three entries in three
-plain lists.  ``verify_group`` walks the criteria in id order and writes
-each row straight into the columns, so they are in output order, and
-the report is the same whatever order the criteria were asked in, with
-one float object per distinct elapsed_ms.  ``Report.rows`` builds ``Row``
-objects only when read; the verifier, the JSON writer and the CLI's exit
-status and counts read the heads and columns and build none.
+its elapsed_ms as measured, and its args split in two tuples, its first
+argument and the rest, four entries in four plain lists.  Both tuples
+already exist: the first is made once per group in a sweep's pairs, and
+the rest is its block's, shared by every row of the block, so a row
+builds no object of its own.  ``verify_group`` walks the criteria in id
+order and writes each row straight into the columns, so they are in
+output order, and the report is the same whatever order the criteria
+were asked in, with one float object per distinct elapsed_ms.
+``Report.rows`` and ``Report.args`` build their objects only when read;
+the verifier, the JSON writer and the CLI's exit status and counts read
+the heads and columns and build none.
 
 JSON reports are line-delimited with exactly the fields {group, order,
 prime, criterion, predicted, observed, match, clause, elapsed_ms}, where
@@ -52,6 +56,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from time import perf_counter_ns
 from typing import NamedTuple
 
@@ -103,10 +108,11 @@ class Report:
     """One group's summary, notes and rows.
 
     Row i is ``heads[head_of[i]]`` with ``elapsed[i]``, its elapsed_ms as
-    measured, and ``args[i]``; the three columns are plain lists that
-    ``verify_group`` fills in output order, and a head is stored once,
-    through ``intern``, however many rows share it.  ``rows`` is a
-    read-only view that builds every ``Row`` when read.
+    measured, and the args ``firsts[i] + rests[i]``; the four columns are
+    plain lists that ``verify_group`` fills in output order, and a head is
+    stored once, through ``intern``, however many rows share it.  ``rows``
+    and ``args`` are read-only views that build every ``Row`` or args
+    tuple when read.
     """
 
     def __init__(self, group: str, order: int, prime: int | None, summary: dict[str, str]):
@@ -116,7 +122,8 @@ class Report:
         self.heads: list[Head] = []
         self.head_of: list[int] = []
         self.elapsed: list[float] = []
-        self.args: list[tuple[int, ...]] = []
+        self.firsts: list[tuple[int, ...]] = []
+        self.rests: list[tuple[int, ...]] = []
         self._ids: dict[Head, int] = {}  # head -> its index in heads
 
     def intern(self, head: Head) -> int:
@@ -129,12 +136,17 @@ class Report:
 
     def row(self, i: int) -> Row:
         *head, note = self.heads[self.head_of[i]]
-        return Row(*head, self.elapsed[i], note, self.args[i])
+        return Row(*head, self.elapsed[i], note, self.firsts[i] + self.rests[i])
 
     @property
     def rows(self) -> tuple[Row, ...]:
         """Every row, built on read."""
         return tuple(map(self.row, range(len(self.head_of))))
+
+    @property
+    def args(self) -> tuple[tuple[int, ...], ...]:
+        """Every row's args, ``firsts[i] + rests[i]``, built on read."""
+        return tuple(map(add, self.firsts, self.rests))
 
     @property
     def all_match(self) -> bool:
@@ -172,7 +184,7 @@ def group_summary(g: FiniteGroup, p: int | None) -> dict[str, str]:
     summary["cl"] = str(g.nilpotence_class())
     summary["d"] = str(g.burnside_rank())
     summary["exp"] = str(g.exponent())
-    summary["purely_nonabelian"] = "yes" if g.is_purely_nonabelian()[0] else "no"
+    summary["purely_nonabelian"] = "yes" if g.is_purely_nonabelian() else "no"
     return summary
 
 
@@ -313,7 +325,9 @@ def verify_group(
     ``aut_bound()``, unless ``force`` lifts it, every row is skipped with
     no call into ``automorphisms``.
 
-    One loop walks every criterion's blocks and writes every row.  A
+    One loop walks every criterion's blocks and writes every row.  A row
+    stores its first argument and its block's rest, two tuples it shares;
+    the predicate gets their sum only when the verdict lookup misses.  A
     verdict is found by its int key and holds the head id of each observed
     value (or skip note) seen with it.  The right side is read by the first
     confirmed row that needs it and kept for the rest of its block, or of
@@ -357,7 +371,7 @@ def verify_group(
             orders[at[m] + i] = k
         return orders[at[m] + n]
 
-    hs, es, xs = report.head_of, report.elapsed, report.args
+    hs, es, fs, rs = report.head_of, report.elapsed, report.firsts, report.rests
     for cid in sorted(selected):  # rows are written in output order
         predicate, sweep, _, left, right = CRITERIA[cid]
         # verdict key -> (predicted_equal, clause, {observed or skip note: head id})
@@ -383,12 +397,11 @@ def verify_group(
                     large = 0
             for first, i in pairs:
                 t0 = perf_counter_ns()
-                args = first + rest
                 note = skip
                 v = verdicts.get(key + i)
                 if v is None:
                     try:
-                        verdict = predicate(g, *(normals[x] for x in args))
+                        verdict = predicate(g, *(normals[x] for x in first + rest))
                     except ClassNotTwoError as exc:
                         if explicit:
                             raise
@@ -397,7 +410,7 @@ def verify_group(
                     v = verdicts[key + i] = (verdict.predicted_equal, verdict.clause, {})
                 try:
                     if swept:  # the left side is a subgroup of the right
-                        m = args[0]
+                        m = first[0]
                         small = orders[at[m] + n] or count(m, n)
                         large = large or (orders[at[rm] + rn] or count(rm, rn) if rm is not None
                                           else len(aut.distinguished(g, right)))
@@ -421,7 +434,8 @@ def verify_group(
                         Head(name, g.n, p, cid, predicted, observed, match, clause, note))
                 hs.append(h)
                 es.append(us)
-                xs.append(args)
+                fs.append(first)
+                rs.append(rest)
     # each distinct whole-µs elapsed becomes one float object of it in ms
     ms = {us: us / 1000 for us in set(es)}
     es[:] = map(ms.__getitem__, es)

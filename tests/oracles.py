@@ -16,7 +16,8 @@ multiplication tables.  These rest on library code, and say so:
 - ``distinguished_members`` filters the members of ``automorphism_group``;
 - ``all_automorphisms`` and ``transversals_by_candidate`` share the
   search's generating sequence and fingerprint pools (``_search_parts``);
-- ``direct_factor_by_pairs`` reads ``normal_subgroups`` and ``quotient``;
+- ``abelian_factor`` and ``direct_factor_by_pairs`` read
+  ``normal_subgroups`` and ``quotient``;
 - the ``*_by_subsets`` sweeps read ``criteria.mod_derived_part`` and
   ``Subgroup.partition``;
 - ``lemma_2_11_check`` and ``adney_yen_check`` state two facts of the
@@ -312,8 +313,35 @@ def unpruned_direct_factor(g):
     return None
 
 
+def abelian_factor(g):
+    """Whether G has no nontrivial abelian direct factor, with a witness:
+    (False, (A, B)) with G = A x B, A nontrivial abelian, when one exists,
+    else (True, None).  The flag is ``FiniteGroup.is_purely_nonabelian``'s
+    height test in G/G'; for the first z that passes it, B is the preimage
+    of a complement of <zG'> read from the lattice of G/G'.  A group that
+    is not a p-group raises NotPGroupError."""
+    if (pp := g.prime_power()) is None:
+        return (True, None)
+    if g.is_abelian():
+        return (False, (g.full_subgroup(), g.trivial_subgroup()))
+    q, orders = g.quotient(g.derived_subgroup()), g.element_orders()
+    ab, proj, zs = q.group, q.projection, g.center().sorted_members[1:]
+    powers = {m: {ab.power(y, m) for y in range(ab.n)} for m in {orders[z] for z in zs}}
+    for z in zs:
+        m = orders[z]
+        if proj[g.power(z, m // pp[0])] in powers[m]:
+            continue
+        zq = {ab.power(proj[z], i) for i in range(m)}
+        for c in ab.normal_subgroups():
+            if c.order * m == ab.n and len(c.members & zq) == 1:
+                b = Subgroup(g, frozenset(x for x in range(g.n) if proj[x] in c))
+                return (False, (g.generated_subgroup([z]), b))
+        raise InvariantError(f"<zG'> of order {m} is pure but has no complement")
+    return (True, None)
+
+
 def direct_factor_by_pairs(g):
-    """``FiniteGroup.is_purely_nonabelian`` by the pair search it replaced:
+    """``abelian_factor`` by the pair search it replaced:
     any abelian direct factor is central and its complement contains G',
     so try every nontrivial subgroup A of Z(G), read from the lattice of a
     copy of Z(G), against every preimage B of a subgroup of G/G'."""
@@ -787,7 +815,7 @@ def verify_group_by_tuples(name, g, criteria_filter=None, force=False, explicit=
             orders[at[m] + i] = k
         return orders[at[m] + n]
 
-    hs, es, xs = report.head_of, report.elapsed, report.args
+    hs, es, fs, rs = report.head_of, report.elapsed, report.firsts, report.rests
     for cid in sorted(selected):
         predicate, blocks, _, left, right = CRITERIA[cid]
         sweep = sweeps[cid] if blocks else None
@@ -840,7 +868,8 @@ def verify_group_by_tuples(name, g, criteria_filter=None, force=False, explicit=
                     Head(name, g.n, p, cid, predicted, observed, match, clause, note))
             hs.append(h)
             es.append(elapsed)
-            xs.append(args)
+            fs.append(args[:1])
+            rs.append(args[1:])
     return report
 
 
@@ -999,7 +1028,7 @@ def lemma_2_11_check(g):
     zp = g.center().partition(p)
     if rank(dp) != rank(zp):
         raise HypothesisViolationError(f"d(G') = {rank(dp)} differs from d(Z(G)) = {rank(zp)}")
-    return g.is_purely_nonabelian()[0]
+    return g.is_purely_nonabelian()
 
 
 def adney_yen_check(g):
@@ -1007,7 +1036,7 @@ def adney_yen_check(g):
     |Aut_c(G)| = |Hom(G/G', Z(G))|, the left side from the search engine
     and the right from ``hom_order``."""
     p = crit._require_nonabelian_p_group(g)
-    if not g.is_purely_nonabelian()[0]:
+    if not g.is_purely_nonabelian():
         raise HypothesisViolationError("stated for purely non-abelian groups")
     q0 = g.section_partition(g.full_subgroup(), g.derived_subgroup(), p)
     zp = g.center().partition(p)
@@ -1045,11 +1074,12 @@ def format_cycles(perm):
 def report_of(group, order, prime, rows):
     """A ``Report`` holding hand-built ``Row``s in order: each row's head
     stored through ``Report.intern``, and its elapsed_ms and args in the
-    columns."""
+    columns, the args split into the first and the rest."""
     rep = Report(group, order, prime, {})
     for r in rows:
         rep.head_of.append(rep.intern(Head(r.group, r.order, r.prime, r.criterion, r.predicted,
                                            r.observed, r.match, r.clause, r.note)))
         rep.elapsed.append(r.elapsed_ms)
-        rep.args.append(r.args)
+        rep.firsts.append(r.args[:1])
+        rep.rests.append(r.args[1:])
     return rep

@@ -45,6 +45,7 @@ from autcrit.groups import (
 from autcrit.report import group_summary
 from oracles import (
     abelian_basis,
+    abelian_factor,
     all_subgroups,
     as_group,
     cayley_rows,
@@ -731,32 +732,34 @@ FACTOR_RECIPES = {
 
 class TestPurelyNonabelian:
     def test_examples(self):
-        assert quaternion_group(8).is_purely_nonabelian()[0]
-        assert dihedral_group(8).is_purely_nonabelian()[0]
+        assert quaternion_group(8).is_purely_nonabelian() is True
+        assert dihedral_group(8).is_purely_nonabelian() is True
 
     def test_q8xc2_witness(self):
         g = direct_product(quaternion_group(8), cyclic_group(2))
-        flag, witness = g.is_purely_nonabelian()
-        assert not flag
+        flag, witness = abelian_factor(g)
+        assert not flag and g.is_purely_nonabelian() is False
         a, b = witness
         assert a.order > 1 and a.order * b.order == g.n
         assert len(a.members & b.members) == 1
         assert a.is_normal() and b.is_normal()
 
     def test_abelian_group(self):
-        flag, witness = cyclic_group(4).is_purely_nonabelian()
+        flag, witness = abelian_factor(cyclic_group(4))
         assert not flag and witness[0].order == 4
+        assert cyclic_group(4).is_purely_nonabelian() is False
 
     def test_matches_pair_search(self, corpus, stress_groups):
         # the height test in G/G' against the pair search it replaced; each
-        # witness of a non-abelian G is checked as a direct decomposition
+        # witness of a non-abelian G, from the oracle's complement search,
+        # is checked as a direct decomposition
         groups = {name: g for name, (spec, g) in corpus.items()}
         groups.update(stress_groups)
         groups.update((name, eval_recipe(r)) for name, r in FACTOR_RECIPES.items())
         factored = []
         for name, g in sorted(groups.items()):
-            flag, witness = g.is_purely_nonabelian()
-            assert flag == direct_factor_by_pairs(g)[0], name
+            flag, witness = abelian_factor(g)
+            assert flag is g.is_purely_nonabelian() is direct_factor_by_pairs(g)[0], name
             if flag or g.is_abelian():
                 continue
             factored.append(name)
@@ -771,8 +774,9 @@ class TestPurelyNonabelian:
 
     def test_one_quotient_no_copy(self, nonabelian_corpus, monkeypatch):
         # group_summary builds G/G' once and copies no subgroup: G/G' is
-        # the one group it constructs; only a group with an abelian factor
-        # reads a lattice, and only G/G''s
+        # the one group it constructs, and every quotient it asks for is
+        # that one; it reads no lattice at all, also on a group with an
+        # abelian factor
         quotients, lattices, built = {}, [], []
         real_quotient, real_normals = FiniteGroup.quotient, FiniteGroup.normal_subgroups
         real_init = FiniteGroup.__init__
@@ -792,17 +796,17 @@ class TestPurelyNonabelian:
         monkeypatch.setattr(FiniteGroup, "quotient", quotient)
         monkeypatch.setattr(FiniteGroup, "normal_subgroups", normal_subgroups)
         monkeypatch.setattr(FiniteGroup, "__init__", init)
-        derived = {}
+        factored = []
         for name, g in nonabelian_corpus.items():
             fresh = FiniteGroup(g.table)
             built.clear()
             group_summary(fresh, fresh.prime_power()[0])
-            (q,) = quotients.pop(fresh)
+            q, *hits = quotients.pop(fresh)
             assert q.kernel == fresh.derived_subgroup() and not quotients, name
+            assert all(h is q for h in hits), name
             assert [id(h) for h in built] == [id(q.group)], name
-            derived[name] = q.group
-        assert {id(h) for h in lattices} == {
-            id(derived[name]) for name in ("D8xC2", "Q8xC2", "D8xC4", "Q8xC4", "D16xC2")}
+            factored.append(not fresh.is_purely_nonabelian())
+        assert lattices == [] and sum(factored) == 5
         with pytest.raises(NotPGroupError):
             s3().is_purely_nonabelian()
 
@@ -811,7 +815,7 @@ class TestPurelyNonabelian:
             if g.n > 32 or g.n == 1:
                 continue
             expected = unpruned_direct_factor(g) is None and not g.is_abelian()
-            got = g.is_purely_nonabelian()[0]
+            got = g.is_purely_nonabelian()
             assert got == expected, name
 
 
@@ -1013,6 +1017,28 @@ class TestSectionPartition:
             for n in g.normal_subgroups():
                 exps = section_exps(g, range(g.n), subgroup_product(d, n).members, p)
                 assert mod_derived_part(g, n, p) == PPartition(p, exps), (name, n.order)
+
+    def test_equal_products_share_one_count(self, stress_groups, monkeypatch):
+        # G/G'N is counted as a section of G/G', once per G'N, not per N
+        calls, real = [], FiniteGroup.section_partition
+
+        def section_partition(self, h, k, p=None):
+            calls.append(k.members)
+            return real(self, h, k, p)
+
+        monkeypatch.setattr(FiniteGroup, "section_partition", section_partition)
+        counts = {}
+        for name, g in sorted(stress_groups.items()):
+            fresh = FiniteGroup(g.table)
+            p, d, normals = fresh.prime_power()[0], fresh.derived_subgroup(), fresh.normal_subgroups()
+            calls.clear()
+            parts = [mod_derived_part(fresh, n, p) for n in normals]
+            products = [subgroup_product(d, n).members for n in normals]
+            counts[name] = (len(calls), len(set(products)))
+            assert len(set(calls)) == len(calls), name
+            # equal products, equal parts
+            assert len(set(zip(products, parts))) == len(set(products)), name
+        assert counts == {"He3xC3": (28, 28), "Q8xC4xC2": (118, 118)}
 
     def test_central_subgroups(self, sections_corpus):
         for name, g in sorted(sections_corpus.items()):
